@@ -137,18 +137,27 @@ def _cmd_simulate(args) -> None:
 
 
 def _spec_from_file(path: str) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    base = ModelParams(**raw["base"])
-    regime_raw = raw["regime"]
-    regime = _parse_regime(regime_raw["kind"], regime_raw.get("alpha"))
-    grid = raw["grid"]
-    if isinstance(grid, dict):
-        grid = list(np.linspace(grid["lo"], grid["hi"], int(grid["steps"])))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read spec {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"spec {path!r} is not JSON: {exc}") from None
+    try:
+        base = ModelParams(**raw["base"])
+        regime_raw = raw["regime"]
+        regime = _parse_regime(regime_raw["kind"], regime_raw.get("alpha"))
+        grid = raw["grid"]
+        if isinstance(grid, dict):
+            grid = list(np.linspace(grid["lo"], grid["hi"], int(grid["steps"])))
+        vary = raw["vary"]
+    except KeyError as exc:
+        raise ParameterError(f"spec {path!r} is missing key {exc}") from None
     return SweepSpec(
         base=base,
         regime=regime,
-        vary=raw["vary"],
+        vary=vary,
         grid=tuple(grid),
         replicates_per_point=int(raw.get("replicates_per_point", 1)),
         samples=int(raw.get("samples", DEFAULT_SAMPLES)),

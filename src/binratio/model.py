@@ -137,9 +137,19 @@ class LimitLaw:
         return math.exp(self.log_scale)
 
 
+def _prefactor(p: float, s: float, r: float) -> float:
+    """p^(2(s-r)-1) * (1-p), the factor every regime's variance shares."""
+    try:
+        return p ** (2 * (s - r) - 1) * (1 - p)
+    except OverflowError:
+        raise ParameterError(
+            f"variance prefactor p^(2(s-r)-1) overflows at p={p!r}, s={s!r}, r={r!r}"
+        ) from None
+
+
 def heavy_denominator_variance(p: float, s: float, r: float) -> float:
     """Limiting variance when the denominator trial count dominates."""
-    return p ** (2 * (s - r) - 1) * (1 - p) * s * s
+    return _prefactor(p, s, r) * s * s
 
 
 def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
@@ -148,12 +158,12 @@ def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
     # (1 + alpha)^(2(r+1)) can overflow on its own at large alpha even though
     # the ratio is tame, so keep the alpha-dependent factor in log space
     log_ratio = math.log(num) - 2 * (r + 1) * math.log1p(alpha)
-    return p ** (2 * (s - r) - 1) * (1 - p) * math.exp(log_ratio)
+    return _prefactor(p, s, r) * math.exp(log_ratio)
 
 
 def light_denominator_variance(p: float, s: float, r: float) -> float:
     """Limiting variance when m/n -> 0; degenerates to 0 at r = s."""
-    return p ** (2 * (s - r) - 1) * (1 - p) * (s - r) ** 2
+    return _prefactor(p, s, r) * (s - r) ** 2
 
 
 def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
@@ -185,6 +195,10 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
         variance = heavy_denominator_variance(p, s, r)
     else:  # pragma: no cover
         raise RegimeError(f"unknown regime kind {kind!r}")
+    if not math.isfinite(variance):
+        raise ParameterError(
+            f"limiting variance overflows at p={p!r}, s={s!r}, r={r!r}"
+        )
 
     try:
         center = math.exp(log_center)

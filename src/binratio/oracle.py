@@ -3,7 +3,10 @@
 Enumerates all (x, y) in [0, n] x [0, m], weights each outcome by the product
 of the two Binomial pmfs (log-gamma evaluation), and aggregates the exact
 mean and variance of the ratio statistic, optionally standardized by a limit
-law. Feasible only while (n+1)(m+1) stays within the enumeration budget;
+law. One pass visits blocks of whole x-strata of about 16k outcomes each,
+evaluating the pmf and the statistic once per outcome; each stratum's weight,
+first moment and centered second moment are combined in stratum order with
+fsum. Feasible only while (n+1)(m+1) stays within the enumeration budget;
 beyond that, Monte Carlo is the tool.
 """
 
@@ -30,6 +33,7 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10**8
 SUPPORT_LIMIT = 10**6  # support arrays are elided above this many outcomes
+BLOCK_OUTCOMES = 2**14  # outcomes per enumeration block, so temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,6 @@ def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     )
 
 
-def _statistic_row(x: int, y: np.ndarray, s: float, r: float,
-                   law: LimitLaw | None) -> np.ndarray:
-    if law is not None:
-        return standardized_statistic(np.full(len(y), x), y, law)
-    # Unstandardized R; x = 0 contributes R = 0 (x + y = 0 included).
-    if x == 0:
-        return np.zeros(len(y))
-    t = x + y.astype(np.float64)
-    t[t == 0] = 1.0
-    return np.exp(s * math.log(x) - r * np.log(t))
-
-
 def _enumerate_moments(
     n: int, m: int, p: float, s: float, r: float, law: LimitLaw | None,
     keep_support: bool,
@@ -84,30 +76,38 @@ def _enumerate_moments(
     ys = np.arange(m + 1)
     lpx = _log_binom_pmf(xs, n, p)
     lpy = _log_binom_pmf(ys, m, p)
+    if law is None:
+        # Unstandardized R, with s*log(x) from math.log once per stratum;
+        # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
+        s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
 
-    # Two passes over x-strata with fsum reductions in stratum order: exact
-    # partial sums, deterministic regardless of any future parallel split.
-    prob_sums, mean_terms = [], []
-    for x in xs:
-        row_p = np.exp(lpx[x] + lpy)
-        row_v = _statistic_row(x, ys, s, r, law)
-        prob_sums.append(float(np.sum(row_p)))
-        mean_terms.append(float(np.dot(row_p, row_v)))
-    total = math.fsum(prob_sums)
-    mean = math.fsum(mean_terms)
-
-    var_terms = []
+    # One pass over blocks of whole x-strata, each reduced to its weight, first
+    # moment and second moment about its own mean; the strata are then
+    # combined in stratum order with fsum (Chan, Golub & LeVeque 1983).
     keep = keep_support and outcomes <= SUPPORT_LIMIT
     sup_v = np.empty(outcomes) if keep else None
     sup_p = np.empty(outcomes) if keep else None
-    for x in xs:
-        row_p = np.exp(lpx[x] + lpy)
-        row_v = _statistic_row(x, ys, s, r, law)
-        var_terms.append(float(np.dot(row_p, (row_v - mean) ** 2)))
+    w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))  # mu = 0 where w = 0
+    rows = max(1, BLOCK_OUTCOMES // (m + 1))
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        prob = np.exp(lpx[lo:hi, None] + lpy[None, :])
+        if law is None:
+            t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
+            t[t == 0] = 1.0
+            val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
+        else:
+            val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
+        w[lo:hi] = prob.sum(axis=1)
+        pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
+        np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
+        m2[lo:hi] = np.einsum("ij,ij->i", prob, (val - mu[lo:hi, None]) ** 2)
         if keep:
-            sup_v[x * (m + 1):(x + 1) * (m + 1)] = row_v
-            sup_p[x * (m + 1):(x + 1) * (m + 1)] = row_p
-    variance = math.fsum(var_terms)
+            sup_v[lo * (m + 1):hi * (m + 1)] = val.ravel()
+            sup_p[lo * (m + 1):hi * (m + 1)] = prob.ravel()
+    total = math.fsum(w)
+    mean = math.fsum(pv)
+    variance = math.fsum(m2 + w * (mu - mean) ** 2)
     return ExactDistribution(
         values=sup_v,
         probabilities=sup_p,

@@ -173,6 +173,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     Every grid point is validated before any simulation starts, so an
     invalid point fails fast. Results are independent of ``threads``.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads!r}")
     for value in spec.grid:
         spec.params_at(value)  # raises ParameterError on a bad point
     tasks = [
@@ -180,7 +182,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         for point in range(len(spec.grid))
         for rep in range(spec.replicates_per_point)
     ]
-    if threads <= 1:
+    if threads == 1:
         return [_run_point(spec, point, rep) for point, rep in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_run_point, spec, point, rep) for point, rep in tasks]

@@ -13,6 +13,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_one_line_error(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 class TestLimit:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -42,6 +49,11 @@ class TestLimit:
         assert code == 2
         assert "error" in err
 
+    def test_overflowing_variance_exit_2(self, capsys):
+        argv = ["limit", "--n", "10", "--m", "10", "--p", "1e-12", "--s", "1",
+                "--r", "30", "--regime", "case2"]
+        assert_one_line_error(*run_cli(argv, capsys), "overflows")
+
     def test_unknown_regime_exit_2(self, capsys):
         code, _, _ = run_cli(
             ["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1",
@@ -67,6 +79,11 @@ class TestSimulate:
         assert len(payload["simulated_histogram"]["edges"]) == 101
         assert len(payload["reference_histogram"]["mass"]) == 100
 
+    def test_overflowing_variance_exit_2(self, capsys):
+        argv = ["simulate", "--n", "10", "--m", "10", "--p", "1e-6", "--s", "1",
+                "--r", "30", "--regime", "case3", "--samples", "100"]
+        assert_one_line_error(*run_cli(argv, capsys), "overflows")
+
     def test_deterministic_output(self, capsys):
         argv = ["simulate", "--n", "10000", "--m", "10000", "--p", "0.5",
                 "--s", "1", "--r", "1", "--regime", "case2",
@@ -76,6 +93,15 @@ class TestSimulate:
         a = {k: v for k, v in json.loads(out1).items() if k != "wall_time_ms"}
         b = {k: v for k, v in json.loads(out2).items() if k != "wall_time_ms"}
         assert a == b
+
+
+SPEC = {
+    "base": {"n": 100000, "m": 100000, "p": 0.5, "s": 2.0, "r": 1.0},
+    "regime": {"kind": "case2", "alpha": None},
+    "vary": "r",
+    "grid": {"lo": 1.0, "hi": 3.0, "steps": 3},
+    "samples": 1000,
+}
 
 
 class TestSweep:
@@ -95,19 +121,7 @@ class TestSweep:
 
     def test_spec_file(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
-        spec_file.write_text(
-            json.dumps(
-                {
-                    "base": {"n": 100000, "m": 100000, "p": 0.5, "s": 2.0, "r": 1.0},
-                    "regime": {"kind": "case2", "alpha": None},
-                    "vary": "r",
-                    "grid": {"lo": 1.0, "hi": 3.0, "steps": 3},
-                    "samples": 1000,
-                    "master_seed": 4,
-                }
-            ),
-            encoding="utf-8",
-        )
+        spec_file.write_text(json.dumps({**SPEC, "master_seed": 4}), encoding="utf-8")
         code, out, _ = run_cli(["sweep", "--spec", str(spec_file)], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -117,6 +131,31 @@ class TestSweep:
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run_cli(["sweep"], capsys)
         assert code == 2
+
+    def test_missing_spec_file_exit_2(self, capsys, tmp_path):
+        argv = ["sweep", "--spec", str(tmp_path / "absent.json")]
+        assert_one_line_error(*run_cli(argv, capsys), "cannot read spec")
+
+    def test_spec_not_json_exit_2(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text("{not json", encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec_file)]
+        assert_one_line_error(*run_cli(argv, capsys), "is not JSON")
+
+    @pytest.mark.parametrize("key", ["base", "regime", "vary", "grid"])
+    def test_spec_missing_key_exit_2(self, capsys, tmp_path, key):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(
+            json.dumps({k: v for k, v in SPEC.items() if k != key}), encoding="utf-8"
+        )
+        argv = ["sweep", "--spec", str(spec_file)]
+        assert_one_line_error(*run_cli(argv, capsys), f"missing key {key!r}")
+
+    def test_zero_threads_exit_2(self, capsys, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(SPEC), encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec_file), "--threads", "0"]
+        assert_one_line_error(*run_cli(argv, capsys), "threads must be >= 1")
 
 
 class TestOracle:

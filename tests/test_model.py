@@ -110,6 +110,21 @@ class TestLimitLaw:
         balanced_like = limit_law(params, Regime.case_iii())
         assert collapse.log_scale == balanced_like.log_scale
 
+    @pytest.mark.parametrize("regime", [
+        Regime.case_i(), Regime.case_ii(1.0), Regime.case_iii(), Regime.collapse(),
+    ])
+    def test_overflowing_prefactor_is_parameter_error(self, regime):
+        # p^(2(s-r)-1) = 1e-12^-59 is not a float
+        params = ModelParams(n=10, m=10, p=1e-12, s=1.0, r=30.0)
+        with pytest.raises(ParameterError, match="overflows"):
+            limit_law(params, regime)
+
+    def test_overflowing_variance_is_parameter_error(self):
+        # the prefactor 1e-12^-25.4 is finite, its product with s^2 is not
+        params = ModelParams(n=10, m=10, p=1e-12, s=100.0, r=112.2)
+        with pytest.raises(ParameterError, match="overflows"):
+            limit_law(params, Regime.case_i())
+
 
 class TestVarianceConsistency:
     def test_continuity_at_zero_alpha(self):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,60 @@ from binratio import (
     limit_law,
     simulate_batch,
 )
-from binratio.oracle import _exact_distribution_raw
-from binratio.sampling import SeedSpec
+from binratio.oracle import (
+    BLOCK_OUTCOMES,
+    ExactDistribution,
+    _enumerate_moments,
+    _exact_distribution_raw,
+    _log_binom_pmf,
+)
+from binratio.sampling import SeedSpec, standardized_statistic
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def two_pass_reference(n, m, p, s, r, law):
+    """The row-by-row, mean-then-variance enumeration the oracle replaced."""
+    xs, ys = np.arange(n + 1), np.arange(m + 1)
+    lpx, lpy = _log_binom_pmf(xs, n, p), _log_binom_pmf(ys, m, p)
+
+    def row_values(x):
+        if law is not None:
+            return standardized_statistic(np.full(len(ys), x), ys, law)
+        if x == 0:
+            return np.zeros(len(ys))
+        t = x + ys.astype(np.float64)
+        t[t == 0] = 1.0
+        return np.exp(s * math.log(x) - r * np.log(t))
+
+    prob_sums, mean_terms = [], []
+    for x in xs:
+        row_p = np.exp(lpx[x] + lpy)
+        row_v = row_values(x)
+        prob_sums.append(float(np.sum(row_p)))
+        mean_terms.append(float(np.dot(row_p, row_v)))
+    mean = math.fsum(mean_terms)
+    var_terms, sup_v, sup_p = [], [], []
+    for x in xs:
+        row_p = np.exp(lpx[x] + lpy)
+        row_v = row_values(x)
+        var_terms.append(float(np.dot(row_p, (row_v - mean) ** 2)))
+        sup_v.append(row_v)
+        sup_p.append(row_p)
+    return ExactDistribution(
+        values=np.concatenate(sup_v),
+        probabilities=np.concatenate(sup_p),
+        mean=mean,
+        variance=math.fsum(var_terms),
+        probability_total=math.fsum(prob_sums),
+    )
+
+
+def assert_moments_close(got, want, rtol=1e-12):
+    for key in ("mean", "variance", "probability_total"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert math.isfinite(a), key
+        assert abs(a - b) <= rtol * abs(b), (key, a, b)
 
 
 class TestExactDistribution:
@@ -103,3 +157,51 @@ class TestConvergence:
                                       keep_support=False)
             means.append(abs(dist.mean))
         assert means[0] > means[1] > means[2]
+
+
+class TestOnePassEquivalence:
+    """The blocked one-pass enumeration against the two-pass reference."""
+
+    def check(self, n, m, p, s, r, regime=None, keep_support=True):
+        law = None
+        if regime is not None:
+            params = ModelParams(n=n, m=m, p=p, s=s, r=r)
+            law = limit_law(params, regime.resolved(params))
+        got = _enumerate_moments(n, m, p, s, r, law, keep_support)
+        want = two_pass_reference(n, m, p, s, r, law)
+        assert_moments_close(got, want)
+        if keep_support:
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.probabilities, want.probabilities)
+        return got
+
+    def test_benchmark_instance_matches_golden(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["oracle_moments"][0]
+        got = self.check(1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None),
+                         keep_support=False)
+        for key, want in golden.items():
+            assert getattr(got, key) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)])
+    def test_single_row_blocks(self, regime):
+        m = BLOCK_OUTCOMES + 10
+        assert max(1, BLOCK_OUTCOMES // (m + 1)) == 1
+        self.check(4, m, 0.3, 2.0, 1.0, regime)
+
+    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)])
+    def test_ragged_last_block(self, regime):
+        n, m = 400, 99
+        rows = BLOCK_OUTCOMES // (m + 1)
+        assert rows > 1 and (n + 1) % rows != 0
+        self.check(n, m, 0.4, 2.0, 1.0, regime)
+
+    @pytest.mark.parametrize("p", [0.999, 1e-6])
+    def test_underflowing_strata(self, p):
+        lpx = _log_binom_pmf(np.arange(3001), 3000, p)
+        assert np.count_nonzero(np.exp(lpx) == 0) > 0  # some strata have w_x = 0
+        self.check(3000, 2000, p, 2.0, 1.0, Regime.case_ii(None), keep_support=False)
+
+    def test_zero_exponent_raw_path(self):
+        got = self.check(30, 20, 0.3, 1.0, 0.0)
+        assert got.mean == pytest.approx(30 * 0.3, rel=1e-12)
+        assert got.variance == pytest.approx(30 * 0.3 * 0.7, rel=1e-12)

@@ -142,6 +142,18 @@ class TestStandardizedStatistic:
         t = standardized_statistic(np.full_like(y, 55), y, law)
         assert np.all(np.diff(t) < 0)
 
+    def test_broadcast_grid_matches_rows(self):
+        # the exact oracle evaluates whole (x, y) blocks in one call
+        params = ModelParams(n=40, m=60, p=0.3, s=2.0, r=1.0)
+        law = limit_law(params, Regime.case_ii(1.5))
+        xs, ys = np.arange(41), np.arange(61)
+        grid = standardized_statistic(xs[:, None], ys[None, :], law)
+        assert grid.shape == (41, 61)
+        rows = np.stack([standardized_statistic(np.full(61, x), ys, law) for x in xs])
+        assert np.array_equal(grid, rows)
+        amp = math.exp(law.log_scale + law.log_center)
+        assert np.all(grid[0] == -amp)
+
     @settings(max_examples=100, deadline=None)
     @given(
         x=st.integers(1, 1000),
