@@ -64,7 +64,12 @@ def _parse_regime(name: str, alpha: float | None) -> Regime:
 def _parse_direction(name: str) -> Direction | None:
     if name == "auto":
         return None
-    return Direction(name)
+    try:
+        return Direction(name)
+    except ValueError:
+        raise ParameterError(
+            f"unknown direction {name!r}; choose from forward, reversed, auto"
+        ) from None
 
 
 def _add_model_args(sub: argparse.ArgumentParser) -> None:
@@ -108,8 +113,6 @@ def _cmd_limit(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    from .divergence import common_bins, histogram
-
     params = _params_from(args)
     regime = _parse_regime(args.regime, args.alpha)
     result = run_single(
@@ -120,7 +123,7 @@ def _cmd_simulate(args) -> None:
         direction=_parse_direction(args.direction),
         seed=SeedSpec(args.seed),
     )
-    edges = common_bins(result.simulated, result.reference, args.bins)
+    simulated_hist, reference_hist = result.report.histograms
     payload = {
         "kl": _fmt(result.report.kl),
         "direction": result.report.direction.value,
@@ -130,10 +133,29 @@ def _cmd_simulate(args) -> None:
         "zero_denominator_count": result.simulated.zero_denominator_count,
         "seed": args.seed,
         "wall_time_ms": _fmt(result.wall_time_ms),
-        "simulated_histogram": _histogram_json(histogram(result.simulated, edges)),
-        "reference_histogram": _histogram_json(histogram(result.reference, edges)),
+        "simulated_histogram": _histogram_json(simulated_hist),
+        "reference_histogram": _histogram_json(reference_hist),
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
+
+
+_SPEC_KEYS = ("base", "regime", "vary", "grid")
+_SPEC_OPTIONAL_KEYS = (
+    "replicates_per_point", "samples", "bins", "direction", "master_seed"
+)
+
+
+def _spec_object(value, where: str, required, optional=()) -> dict:
+    """``value`` as a JSON object holding every required key and no other."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    for key in required:
+        if key not in value:
+            raise ParameterError(f"{where} is missing key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ParameterError(f"{where} has unknown key {key!r}")
+    return value
 
 
 def _spec_from_file(path: str) -> SweepSpec:
@@ -144,20 +166,18 @@ def _spec_from_file(path: str) -> SweepSpec:
         raise ParameterError(f"cannot read spec {path!r}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParameterError(f"spec {path!r} is not JSON: {exc}") from None
-    try:
-        base = ModelParams(**raw["base"])
-        regime_raw = raw["regime"]
-        regime = _parse_regime(regime_raw["kind"], regime_raw.get("alpha"))
-        grid = raw["grid"]
-        if isinstance(grid, dict):
-            grid = list(np.linspace(grid["lo"], grid["hi"], int(grid["steps"])))
-        vary = raw["vary"]
-    except KeyError as exc:
-        raise ParameterError(f"spec {path!r} is missing key {exc}") from None
+    where = f"spec {path!r}"
+    _spec_object(raw, where, _SPEC_KEYS, _SPEC_OPTIONAL_KEYS)
+    base = _spec_object(raw["base"], f"{where} base", ("n", "m", "p", "s", "r"))
+    regime_raw = _spec_object(raw["regime"], f"{where} regime", ("kind",), ("alpha",))
+    grid = raw["grid"]
+    if isinstance(grid, dict):
+        _spec_object(grid, f"{where} grid", ("lo", "hi", "steps"))
+        grid = list(np.linspace(grid["lo"], grid["hi"], int(grid["steps"])))
     return SweepSpec(
-        base=base,
-        regime=regime,
-        vary=vary,
+        base=ModelParams(**base),
+        regime=_parse_regime(regime_raw["kind"], regime_raw.get("alpha")),
+        vary=raw["vary"],
         grid=tuple(grid),
         replicates_per_point=int(raw.get("replicates_per_point", 1)),
         samples=int(raw.get("samples", DEFAULT_SAMPLES)),

@@ -1,7 +1,9 @@
 """Common binning and discrete KL divergence for comparing two sample batches.
 
 Both batches are histogrammed on equal-width bins spanning their pooled
-range, then compared with the discrete KL divergence. When the simulated
+range, then compared with the discrete KL divergence. Binning sorts each
+batch once and reads every bin boundary, and the counts below and above the
+edges, from one binary search of the sorted values. When the simulated
 statistic degenerates (all draws in one bin), the forward divergence is
 uninformative and the reversed direction is used instead; ``compare_batches``
 defaults to reversed exactly when the simulated batch carries the collapse
@@ -11,7 +13,7 @@ regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -44,7 +46,9 @@ class Histogram:
 
     ``mass`` is normalized by the source batch size ``count``; values outside
     [edges[0], edges[-1]] land in undercount/overcount (zero when the edges
-    came from ``common_bins`` over the same data).
+    came from ``common_bins`` over the same data). ``histogram`` reads both
+    counts from the same search of the sorted batch that yields the bins, so
+    they cost no extra pass.
     """
 
     edges: np.ndarray
@@ -58,7 +62,7 @@ class Histogram:
         self.mass.flags.writeable = False
         if len(self.edges) != len(self.mass) + 1:
             raise ParameterError("need len(edges) == len(mass) + 1")
-        if np.any(np.diff(self.edges) <= 0):
+        if not (self.edges[1:] > self.edges[:-1]).all():
             raise ParameterError("edges must be strictly increasing")
 
 
@@ -82,25 +86,41 @@ def common_bins(
 
 
 def histogram(batch: SampleBatch, edges: np.ndarray) -> Histogram:
-    """Bin a batch on the given edges (right-inclusive last bin)."""
-    counts, _ = np.histogram(batch.values, bins=edges)
-    under = int(np.count_nonzero(batch.values < edges[0]))
-    over = int(np.count_nonzero(batch.values > edges[-1]))
+    """Bin a batch on the given edges (right-inclusive last bin).
+
+    One sort of the batch, then one binary search per edge: ``cum[i]`` is the
+    number of values below ``edges[i]``, except that the last entry also
+    takes the values equal to ``edges[-1]``. Bin counts are the differences;
+    the count below the first edge and above the last fall out of the ends.
+    Same counts as ``np.histogram`` on these edges; a NaN value sorts above
+    every edge and so counts as over.
+    """
+    edges = np.array(edges, dtype=np.float64)
+    ordered = np.sort(batch.values)
+    cum = ordered.searchsorted(edges)
+    cum[-1] = ordered.searchsorted(edges[-1], side="right")
     return Histogram(
-        edges=np.array(edges, dtype=np.float64),
-        mass=counts / batch.count,
+        edges=edges,
+        mass=(cum[1:] - cum[:-1]) / batch.count,
         count=batch.count,
-        undercount=under,
-        overcount=over,
+        undercount=int(cum[0]),
+        overcount=batch.count - int(cum[-1]),
     )
 
 
 @dataclass(frozen=True)
 class DivergenceReport:
+    """KL result; ``histograms`` holds the (a, b) pair it was computed from.
+
+    The histograms take no part in equality: two reports are equal when
+    their numbers are.
+    """
+
     kl: float
     direction: Direction
     smoothed_bins: int
     bin_count: int
+    histograms: tuple[Histogram, Histogram] = field(compare=False, repr=False)
 
 
 def kl_divergence(
@@ -131,6 +151,7 @@ def kl_divergence(
         direction=direction,
         smoothed_bins=int(np.count_nonzero(needs_floor)),
         bin_count=len(num),
+        histograms=(a_hist, b_hist),
     )
 
 
@@ -149,8 +170,9 @@ def compare_batches(
 ) -> DivergenceReport:
     """Full comparison: common bins, two histograms, KL in one direction.
 
-    ``a`` is the simulated batch, ``b`` the reference. ``direction=None``
-    picks the regime-based default; the choice is never switched mid-run.
+    ``a`` is the simulated batch, ``b`` the reference; the report's
+    ``histograms`` are theirs, in that order. ``direction=None`` picks the
+    regime-based default; the choice is never switched mid-run.
     """
     if direction is None:
         direction = default_direction(a)

@@ -10,6 +10,11 @@ draw is bounded independent of n.
 Stream layout: ``simulate_batch`` draws X from substream 0 of its SeedSpec
 and Y from substream 1; ``reference_normal_batch`` consumes the stream it is
 given directly (the runner hands it substream 2).
+
+Standardization reads the integer counts as drawn, with no float copies: it
+forms x + y and the two logs in float64 and does every later step in place,
+so a batch of N draws costs two float arrays of length N. The x = 0
+conventions are applied by masks only when some count is zero.
 """
 
 from __future__ import annotations
@@ -90,6 +95,16 @@ class SampleBatch:
             raise ParameterError("inconsistent degeneracy counts")
 
 
+def _numeric(v) -> np.ndarray:
+    """``v`` as an array of at least one dimension with a numeric dtype.
+
+    Integer, unsigned, bool and float arrays pass through uncopied; anything
+    else (Python ints beyond 64 bits become object arrays) goes to float64.
+    """
+    arr = np.atleast_1d(v)
+    return arr if arr.dtype.kind in "biuf" else arr.astype(np.float64)
+
+
 def standardized_statistic(x, y, law: LimitLaw):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
@@ -97,20 +112,35 @@ def standardized_statistic(x, y, law: LimitLaw):
     delta = s*log(x) - r*log(x+y) - log_center, which survives exponents and
     sizes where x^s alone overflows. A draw with x = 0 sits at the
     statistic's minimum T = -amp (R taken as 0); a fully degenerate
-    x + y = 0 draw follows the same convention. Accepts scalars or arrays.
+    x + y = 0 draw follows the same convention. Accepts scalars or arrays of
+    any integer or float dtype; array inputs broadcast.
+
+    The counts are read as given, the sum and both logs are formed in
+    float64 and every later step runs in place on the sum's buffer; the
+    x = 0 and x + y = 0 masks apply only when some count is not positive.
     """
     amp = math.exp(law.log_scale + law.log_center)
-    x_arr = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if np.any(x_arr < 0) or np.any(y_arr < 0):
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    x_arr, y_arr = _numeric(x), _numeric(y)
+    # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
+    masked = not (x_arr.size and y_arr.size and x_arr.min() > 0 and y_arr.min() >= 0)
+    if masked and (np.any(x_arr < 0) or np.any(y_arr < 0)):
         raise ParameterError("counts must be nonnegative")
-    scalar = x_arr.ndim == 0 and y_arr.ndim == 0
-    x_arr, y_arr = np.atleast_1d(x_arr), np.atleast_1d(y_arr)
-    t_sum = x_arr + y_arr
-    safe_x = np.where(x_arr > 0, x_arr, 1.0)
-    safe_t = np.where(t_sum > 0, t_sum, 1.0)
-    delta = law.s * np.log(safe_x) - law.r * np.log(safe_t) - law.log_center
-    out = amp * np.where(x_arr > 0, np.expm1(delta), -1.0)
+    out = np.add(x_arr, y_arr, dtype=np.float64)
+    if masked:
+        np.copyto(out, 1.0, where=~(out > 0))
+        x_pos = x_arr > 0
+        x_arr = np.where(x_pos, x_arr, 1)
+    np.log(out, out=out)
+    out *= law.r
+    delta = np.log(x_arr, dtype=np.float64)
+    delta *= law.s
+    np.subtract(delta, out, out=out)
+    out -= law.log_center
+    np.expm1(out, out=out)
+    if masked:
+        np.copyto(out, -1.0, where=~x_pos)
+    out *= amp
     return float(out[0]) if scalar else out
 
 
@@ -129,8 +159,10 @@ def simulate_batch(
     x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), count)
     y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), count)
     values = standardized_statistic(x, y, law)
-    zero_num = int(np.count_nonzero(x == 0))
-    zero_den = int(np.count_nonzero((x == 0) & (y == 0)))
+    zero_num = zero_den = 0
+    if x.min() == 0:
+        zero_num = int(np.count_nonzero(x == 0))
+        zero_den = int(np.count_nonzero((x == 0) & (y == 0)))
     return SampleBatch(
         values=values,
         count=count,

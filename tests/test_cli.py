@@ -151,6 +151,27 @@ class TestSweep:
         argv = ["sweep", "--spec", str(spec_file)]
         assert_one_line_error(*run_cli(argv, capsys), f"missing key {key!r}")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([SPEC], "must be a JSON object"),
+            ({**SPEC, "base": {**SPEC["base"], "q": 1}}, "base has unknown key 'q'"),
+            ({**SPEC, "sampels": 500}, "has unknown key 'sampels'"),
+            ({**SPEC, "base": {"n": 10, "m": 10}}, "base is missing key 'p'"),
+            ({**SPEC, "regime": "case2"}, "regime must be a JSON object"),
+            ({**SPEC, "regime": {"kind": "case2", "beta": 1}}, "unknown key 'beta'"),
+            ({**SPEC, "grid": {"lo": 1, "hi": 2}}, "grid is missing key 'steps'"),
+            ({**SPEC, "direction": "sideways"}, "unknown direction 'sideways'"),
+        ],
+        ids=["list", "base-key", "top-key", "base-missing", "regime-str",
+             "regime-key", "grid-missing", "direction"],
+    )
+    def test_strict_spec_exit_2(self, capsys, tmp_path, spec, message):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec_file)]
+        assert_one_line_error(*run_cli(argv, capsys), message)
+
     def test_zero_threads_exit_2(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(SPEC), encoding="utf-8")

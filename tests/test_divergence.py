@@ -41,6 +41,23 @@ def hist_of(mass, edges=None, count=1000):
     )
 
 
+def reference_histogram(batch, edges):
+    """np.histogram plus two counting passes: what ``histogram`` must match."""
+    counts, _ = np.histogram(batch.values, bins=edges)
+    under = int(np.count_nonzero(batch.values < edges[0]))
+    over = int(np.count_nonzero(batch.values > edges[-1]))
+    return counts / batch.count, under, over
+
+
+def assert_matches_reference(batch, edges):
+    h = histogram(batch, edges)
+    mass, under, over = reference_histogram(batch, edges)
+    assert np.array_equal(h.mass.view(np.uint64), mass.view(np.uint64))
+    assert (h.undercount, h.overcount) == (under, over)
+    assert np.array_equal(h.edges, np.asarray(edges, dtype=np.float64))
+    return h
+
+
 class TestCommonBins:
     def test_unit_range_width(self):
         edges = common_bins(batch_of([0.0]), batch_of([1.0]), 100)
@@ -78,6 +95,40 @@ class TestHistogram:
     def test_rejects_bad_edges(self):
         with pytest.raises(ParameterError):
             hist_of([1.0], edges=[0.0, 0.0])
+
+    def test_rejects_decreasing_and_nan_edges(self):
+        with pytest.raises(ParameterError):
+            hist_of([1.0, 1.0], edges=[0.0, 2.0, 1.0])
+        with pytest.raises(ParameterError):
+            hist_of([1.0, 1.0], edges=[0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_batches_with_ties_match_np_histogram(self, seed):
+        rng = np.random.default_rng(seed)
+        # coarse rounding makes many ties and many values sit on edges
+        values = np.round(rng.normal(size=3000) * 4) / 4
+        a = batch_of(values)
+        assert_matches_reference(a, common_bins(a, a, 100))
+        assert_matches_reference(a, np.linspace(-2.0, 2.0, 17))  # on-edge values
+        assert_matches_reference(a, np.linspace(-1.1, 0.3, 7))  # most outside
+
+    def test_values_on_every_edge(self):
+        edges = np.linspace(0.0, 1.0, 11)
+        h = assert_matches_reference(batch_of(np.repeat(edges, 3)), edges)
+        # the last bin is right-inclusive, every other bin right-open
+        assert np.array_equal(h.mass * h.count, [3] * 9 + [6])
+        assert h.undercount == h.overcount == 0
+
+    def test_outside_both_ends(self):
+        values = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 1.0 + 1e-15, 3.0, np.inf]
+        h = assert_matches_reference(batch_of(values), np.linspace(0, 1, 4))
+        assert (h.undercount, h.overcount) == (3, 3)
+        assert h.undercount + h.overcount + round(h.mass.sum() * h.count) == 9
+
+    def test_all_values_outside(self):
+        h = assert_matches_reference(batch_of([-3.0, -2.0, 5.0]), np.linspace(0, 1, 3))
+        assert (h.undercount, h.overcount) == (2, 1)
+        assert not h.mass.any()
 
 
 class TestKLDivergence:
@@ -151,6 +202,19 @@ class TestCompareBatches:
             batch_of(vals[::-1].copy()), batch_of(ref), Direction.FORWARD
         )
         assert fwd == perm
+
+    def test_report_carries_compared_histograms(self):
+        gen = make_generator(SeedSpec(4))
+        a = batch_of(gen.normal(size=2000))
+        b = batch_of(gen.normal(size=2000))
+        report = compare_batches(a, b, Direction.FORWARD, 50)
+        edges = common_bins(a, b, 50)
+        for got, batch in zip(report.histograms, (a, b)):
+            want = histogram(batch, edges)
+            assert np.array_equal(got.edges, want.edges)
+            assert np.array_equal(got.mass, want.mass)
+            assert got.count == batch.count
+        assert report == kl_divergence(*report.histograms, Direction.FORWARD)
 
     def test_default_direction_tracks_regime(self):
         params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)

@@ -1,0 +1,104 @@
+"""Golden gate: every preset's sweep CSV at 2000 samples, pinned by sha256.
+
+The hash covers the CSV with the ``wall_time_ms`` column removed, so it pins
+the draws (``Generator.binomial`` and ``Generator.normal`` streams), the
+standardization, the binning and the KL bit for bit. numpy may change its
+streams between versions (NEP 19); when it does, this test fails for every
+preset instead of letting "bitwise reproducible" results drift silently.
+
+Regenerate after a deliberate, documented change with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from binratio.cli import main
+from binratio.runner import PRESET_NAMES
+
+GOLDEN_PATH = Path(__file__).with_name("golden_presets.json")
+SAMPLES = 2000
+
+
+def preset_digest(name: str, out_file: Path) -> str:
+    """sha256 of ``sweep --preset name --samples 2000`` without wall_time_ms."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fig4d warns about its published range
+        code = main(["sweep", "--preset", name, "--samples", str(SAMPLES),
+                     "--out", str(out_file)])
+    assert code == 0
+    text = out_file.read_text(encoding="utf-8")
+    stripped = "\n".join(line.rsplit(",", 1)[0] for line in text.split("\n"))
+    return hashlib.sha256(stripped.encode("utf-8")).hexdigest()
+
+
+# simulate reports (histograms included), pinned the same way
+SIMULATE_ARGV = {
+    "case2": ["--n", "100000", "--m", "100000", "--p", "0.5", "--s", "2",
+              "--r", "1", "--regime", "case2", "--seed", "5"],
+    "collapse": ["--n", "200000", "--m", "2000000000", "--p", "0.5", "--s", "15",
+                 "--r", "15", "--regime", "collapse", "--seed", "1"],
+}
+
+
+def simulate_digest(case: str, out_file: Path) -> str:
+    """sha256 of a ``simulate`` JSON report without its wall_time_ms line."""
+    argv = ["simulate", *SIMULATE_ARGV[case], "--samples", str(SAMPLES),
+            "--out", str(out_file)]
+    assert main(argv) == 0
+    lines = out_file.read_text(encoding="utf-8").split("\n")
+    kept = [line for line in lines if not line.startswith('  "wall_time_ms": ')]
+    assert len(kept) == len(lines) - 1
+    return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_preset(golden):
+    assert sorted(golden["sha256"]) == sorted(PRESET_NAMES)
+    assert sorted(golden["simulate_sha256"]) == sorted(SIMULATE_ARGV)
+    assert golden["samples"] == SAMPLES
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_csv_matches_golden(name, tmp_path, golden):
+    got = preset_digest(name, tmp_path / f"{name}.csv")
+    assert got == golden["sha256"][name], (
+        f"{name}: sweep CSV changed (golden made with numpy "
+        f"{golden['numpy_version']}, running numpy {np.__version__})"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_ARGV))
+def test_simulate_report_matches_golden(case, tmp_path, golden):
+    got = simulate_digest(case, tmp_path / f"{case}.json")
+    assert got == golden["simulate_sha256"][case], (
+        f"simulate {case}: report changed (golden made with numpy "
+        f"{golden['numpy_version']}, running numpy {np.__version__})"
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: preset_digest(name, Path(tmp) / "out.csv")
+                   for name in PRESET_NAMES}
+        simulate = {case: simulate_digest(case, Path(tmp) / "out.json")
+                    for case in sorted(SIMULATE_ARGV)}
+    payload = {"numpy_version": np.__version__, "samples": SAMPLES,
+               "sha256": digests, "simulate_sha256": simulate}
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {len(digests)} digests to {GOLDEN_PATH}\n")

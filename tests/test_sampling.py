@@ -21,6 +21,32 @@ from binratio import (
 )
 
 
+def reference_standardized_statistic(x, y, law):
+    """The float-copy, always-masked formulation the kernel must match bitwise."""
+    amp = math.exp(law.log_scale + law.log_center)
+    x_arr = np.asarray(x, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
+    if np.any(x_arr < 0) or np.any(y_arr < 0):
+        raise ParameterError("counts must be nonnegative")
+    scalar = x_arr.ndim == 0 and y_arr.ndim == 0
+    x_arr, y_arr = np.atleast_1d(x_arr), np.atleast_1d(y_arr)
+    t_sum = x_arr + y_arr
+    safe_x = np.where(x_arr > 0, x_arr, 1.0)
+    safe_t = np.where(t_sum > 0, t_sum, 1.0)
+    with np.errstate(invalid="ignore"):
+        delta = law.s * np.log(safe_x) - law.r * np.log(safe_t) - law.log_center
+    out = amp * np.where(x_arr > 0, np.expm1(delta), -1.0)
+    return float(out[0]) if scalar else out
+
+
+def assert_bitwise(got, want):
+    """Same type and shape, same float64 bit patterns (-0.0 and NaN included)."""
+    assert type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def exact_binomial_cdf(n, p):
     k = np.arange(n + 1)
     log_pmf = (
@@ -171,6 +197,101 @@ class TestStandardizedStatistic:
         assert abs(got - direct) <= 1e-10 * abs(direct) + 1e-12 * amp
 
 
+class TestKernelMatchesReference:
+    """standardized_statistic equals the float-copy formulation bit for bit."""
+
+    LAW = limit_law(ModelParams(n=120, m=80, p=0.4, s=2.5, r=1.75), Regime.case_ii(1.5))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int32, np.int64, np.float32, np.float64]
+    )
+    def test_dtypes(self, dtype):
+        gen = np.random.default_rng(7)
+        x = gen.integers(0, 120, 500).astype(dtype)
+        y = gen.integers(0, 8, 500).astype(dtype)
+        x[:3], y[:2] = 0, 0  # x = 0 rows, one of them with x + y = 0
+        assert_bitwise(
+            standardized_statistic(x, y, self.LAW),
+            reference_standardized_statistic(x, y, self.LAW),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+    def test_all_positive_dtypes(self, dtype):
+        # the unmasked path, with int8 logs that must not run in float16
+        x = np.arange(1, 121).astype(dtype)
+        y = (np.arange(120) % 9).astype(dtype)
+        assert_bitwise(
+            standardized_statistic(x, y, self.LAW),
+            reference_standardized_statistic(x, y, self.LAW),
+        )
+
+    def test_large_counts(self):
+        gen = make_generator(SeedSpec(3))
+        x = draw_binomial(2_000_000_000, 0.5, gen, 1000)
+        y = draw_binomial(3_800_000, 0.5, gen, 1000)
+        law = limit_law(ModelParams(n=2_000_000_000, m=3_800_000, p=0.5, s=16.0,
+                                    r=15.0), Regime.case_iii())
+        assert_bitwise(
+            standardized_statistic(x, y, law), reference_standardized_statistic(x, y, law)
+        )
+
+    @pytest.mark.parametrize(
+        "x, y", [(50, 40), (0, 7), (0, 0), (3.5, 0.0), ([1, 0, 2], [0, 0, 5]),
+                 ([4], 6), (9, [0, 1, 2]), (2**70, 5), ([2**70, 0], [1, 2]),
+                 (True, False)]
+    )
+    def test_lists_and_scalars(self, x, y):
+        assert_bitwise(
+            standardized_statistic(x, y, self.LAW),
+            reference_standardized_statistic(x, y, self.LAW),
+        )
+
+    def test_nan_in_y_stays_finite(self):
+        # x + y is NaN there, and the reference reads it as log(1) = 0
+        x = np.array([5.0, 0.0, 7.0, 3.0])
+        y = np.array([np.nan, np.nan, 2.0, 0.0])
+        got = standardized_statistic(x, y, self.LAW)
+        assert np.all(np.isfinite(got))
+        assert_bitwise(got, reference_standardized_statistic(x, y, self.LAW))
+
+    def test_nan_and_inf_in_x(self):
+        x = np.array([np.nan, 4.0, np.inf, 2.0])
+        y = np.array([1.0, 1.0, 1.0, np.inf])
+        with np.errstate(invalid="ignore"):
+            assert_bitwise(
+                standardized_statistic(x, y, self.LAW),
+                reference_standardized_statistic(x, y, self.LAW),
+            )
+
+    @pytest.mark.parametrize(
+        "x, y", [(np.zeros(0, np.int64), np.zeros(0, np.int64)),
+                 (np.zeros((0, 1)), np.arange(4)[None, :]),
+                 (np.arange(3)[:, None], np.zeros((1, 0), np.int32))]
+    )
+    def test_empty(self, x, y):
+        got = standardized_statistic(x, y, self.LAW)
+        assert got.size == 0
+        assert_bitwise(got, reference_standardized_statistic(x, y, self.LAW))
+
+    def test_oracle_broadcast_block(self):
+        xs, ys = np.arange(121), np.arange(81)
+        for lo, hi in [(0, 40), (40, 121)]:
+            assert_bitwise(
+                standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
+                reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
+            )
+
+    @pytest.mark.parametrize(
+        "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
+                 (np.array([np.nan, -1.0]), np.array([1.0, 1.0]))]
+    )
+    def test_negative_counts_rejected(self, x, y):
+        with pytest.raises(ParameterError):
+            reference_standardized_statistic(x, y, self.LAW)
+        with pytest.raises(ParameterError):
+            standardized_statistic(x, y, self.LAW)
+
+
 class TestSimulateBatch:
     def test_deterministic(self):
         params = ModelParams(n=1000, m=1000, p=0.5, s=2.0, r=1.0)
@@ -207,6 +328,15 @@ class TestSimulateBatch:
         params = ModelParams(n=1000, m=2500, p=0.5, s=1.0, r=1.0)
         batch = simulate_batch(params, Regime.case_ii(None), 10, SeedSpec(0))
         assert batch.regime.alpha == pytest.approx(2.5)
+
+    def test_zero_counts_on_small_n(self):
+        params = ModelParams(n=3, m=2, p=0.3, s=1.0, r=1.0)
+        seed = SeedSpec(6)
+        batch = simulate_batch(params, Regime.case_ii(1.0), 2000, seed)
+        x = draw_binomial(3, 0.3, make_generator(seed.substream(0)), 2000)
+        y = draw_binomial(2, 0.3, make_generator(seed.substream(1)), 2000)
+        assert batch.zero_numerator_count == np.count_nonzero(x == 0) > 0
+        assert batch.zero_denominator_count == np.count_nonzero((x == 0) & (y == 0)) > 0
 
     def test_values_immutable(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
