@@ -78,6 +78,8 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--s", type=float, required=True)
     sub.add_argument("--r", type=float, required=True)
+    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--out", default=None)
 
 
 def _params_from(args) -> ModelParams:
@@ -87,9 +89,12 @@ def _params_from(args) -> ModelParams:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _histogram_json(hist) -> dict:
@@ -158,6 +163,15 @@ def _spec_object(value, where: str, required, optional=()) -> dict:
     return value
 
 
+def _spec_number(obj: dict, key: str, where: str, default=None, kind=int):
+    """``obj[key]``, or ``default`` when absent, checked to be a non-bool ``kind``."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{where} {key!r} must be {noun}, got {value!r}")
+    return value
+
+
 def _spec_from_file(path: str) -> SweepSpec:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -173,17 +187,24 @@ def _spec_from_file(path: str) -> SweepSpec:
     grid = raw["grid"]
     if isinstance(grid, dict):
         _spec_object(grid, f"{where} grid", ("lo", "hi", "steps"))
-        grid = list(np.linspace(grid["lo"], grid["hi"], int(grid["steps"])))
+        lo = _spec_number(grid, "lo", f"{where} grid", kind=(int, float))
+        hi = _spec_number(grid, "hi", f"{where} grid", kind=(int, float))
+        steps = _spec_number(grid, "steps", f"{where} grid")
+        if steps < 1:
+            raise ParameterError(f"{where} grid 'steps' must be >= 1, got {steps}")
+        grid = list(np.linspace(lo, hi, steps))
+    elif not isinstance(grid, list):
+        raise ParameterError(f"{where} grid must be a JSON list or object")
     return SweepSpec(
         base=ModelParams(**base),
         regime=_parse_regime(regime_raw["kind"], regime_raw.get("alpha")),
         vary=raw["vary"],
         grid=tuple(grid),
-        replicates_per_point=int(raw.get("replicates_per_point", 1)),
-        samples=int(raw.get("samples", DEFAULT_SAMPLES)),
-        bins=int(raw.get("bins", DEFAULT_BIN_COUNT)),
+        replicates_per_point=_spec_number(raw, "replicates_per_point", where, 1),
+        samples=_spec_number(raw, "samples", where, DEFAULT_SAMPLES),
+        bins=_spec_number(raw, "bins", where, DEFAULT_BIN_COUNT),
         direction=_parse_direction(raw.get("direction", "auto")),
-        master_seed=int(raw.get("master_seed", 0)),
+        master_seed=_spec_number(raw, "master_seed", where, 0),
     )
 
 
@@ -262,21 +283,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit = subs.add_parser("limit", help="print the limit law as JSON")
     _add_model_args(p_limit)
     p_limit.add_argument("--regime", required=True)
-    p_limit.add_argument("--alpha", type=float, default=None)
-    p_limit.add_argument("--out", default=None)
     p_limit.set_defaults(func=_cmd_limit)
 
     p_sim = subs.add_parser("simulate", help="one simulate/compare run")
     _add_model_args(p_sim)
     p_sim.add_argument("--regime", required=True)
-    p_sim.add_argument("--alpha", type=float, default=None)
     p_sim.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_sim.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
     p_sim.add_argument(
         "--direction", choices=["forward", "reversed", "auto"], default="auto"
     )
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = subs.add_parser("sweep", help="run a parameter sweep; CSV output")
@@ -292,17 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = subs.add_parser("oracle", help="exact enumeration at small sizes")
     _add_model_args(p_oracle)
     p_oracle.add_argument("--regime", default=None, help="standardize under this regime")
-    p_oracle.add_argument("--alpha", type=float, default=None)
-    p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_bound = subs.add_parser("bound", help="remainder bound diagnostics; CSV")
     _add_model_args(p_bound)
     p_bound.add_argument("--regime", required=True)
-    p_bound.add_argument("--alpha", type=float, default=None)
     p_bound.add_argument("--samples", type=int, default=10_000)
     p_bound.add_argument("--seed", type=int, default=0)
-    p_bound.add_argument("--out", default=None)
     p_bound.set_defaults(func=_cmd_bound)
 
     return parser

@@ -5,21 +5,19 @@ range, then compared with the discrete KL divergence. Binning sorts each
 batch once and reads every bin boundary, and the counts below and above the
 edges, from one binary search of the sorted values. When the simulated
 statistic degenerates (all draws in one bin), the forward divergence is
-uninformative and the reversed direction is used instead; ``compare_batches``
-defaults to reversed exactly when the simulated batch carries the collapse
-regime.
+uninformative and the reversed direction is used instead. Every comparison
+names its direction; the runner, which holds the regime, picks reversed for
+the collapse regime and forward otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ParameterError
-from .model import RegimeKind
 from .sampling import SampleBatch
 
 __all__ = [
@@ -155,26 +153,16 @@ def kl_divergence(
     )
 
 
-def default_direction(batch: SampleBatch) -> Direction:
-    """Reversed for the collapse regime, forward otherwise."""
-    if batch.regime is not None and batch.regime.kind is RegimeKind.COLLAPSE:
-        return Direction.REVERSED
-    return Direction.FORWARD
-
-
 def compare_batches(
     a: SampleBatch,
     b: SampleBatch,
-    direction: Direction | None = None,
+    direction: Direction,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> DivergenceReport:
     """Full comparison: common bins, two histograms, KL in one direction.
 
     ``a`` is the simulated batch, ``b`` the reference; the report's
-    ``histograms`` are theirs, in that order. ``direction=None`` picks the
-    regime-based default; the choice is never switched mid-run.
+    ``histograms`` are theirs, in that order.
     """
-    if direction is None:
-        direction = default_direction(a)
     edges = common_bins(a, b, bin_count)
     return kl_divergence(histogram(a, edges), histogram(b, edges), direction)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 from .errors import ParameterError, RegimeError
 
@@ -51,11 +52,11 @@ class ModelParams:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
         if not (isinstance(self.m, int) and self.m >= 1):
             raise ParameterError(f"m must be a positive integer, got {self.m!r}")
-        if not (0.0 < self.p < 1.0):
+        if not (isinstance(self.p, Real) and 0.0 < self.p < 1.0):
             raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not (self.s > 0 and math.isfinite(self.s)):
+        if not (isinstance(self.s, Real) and self.s > 0 and math.isfinite(self.s)):
             raise ParameterError(f"s must be a positive real, got {self.s!r}")
-        if not (self.r > 0 and math.isfinite(self.r)):
+        if not (isinstance(self.r, Real) and self.r > 0 and math.isfinite(self.r)):
             raise ParameterError(f"r must be a positive real, got {self.r!r}")
 
 
@@ -84,7 +85,7 @@ class Regime:
     def __post_init__(self) -> None:
         if self.kind is RegimeKind.BALANCED:
             if self.alpha is not None and not (
-                math.isfinite(self.alpha) and self.alpha > 0
+                isinstance(self.alpha, Real) and 0 < self.alpha < math.inf
             ):
                 raise RegimeError(
                     f"balanced regime needs alpha > 0 and finite, got {self.alpha!r}"
@@ -154,7 +155,12 @@ def heavy_denominator_variance(p: float, s: float, r: float) -> float:
 
 def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
     """Limiting variance when m/n -> alpha in (0, inf)."""
-    num = (s * (1 + alpha) - r) ** 2 + alpha * r * r
+    try:
+        num = (s * (1 + alpha) - r) ** 2 + alpha * r * r
+    except OverflowError:
+        raise ParameterError(
+            f"balanced variance overflows at s={s!r}, r={r!r}, alpha={alpha!r}"
+        ) from None
     # (1 + alpha)^(2(r+1)) can overflow on its own at large alpha even though
     # the ratio is tame, so keep the alpha-dependent factor in log space
     log_ratio = math.log(num) - 2 * (r + 1) * math.log1p(alpha)

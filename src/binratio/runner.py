@@ -19,6 +19,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -34,8 +35,7 @@ from .model import ModelParams, Regime, RegimeKind, limit_law
 from .sampling import (
     SampleBatch,
     SeedSpec,
-    draw_binomial,
-    make_generator,
+    draw_counts,
     reference_normal_batch,
     simulate_batch,
 )
@@ -89,8 +89,8 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def params_at(self, value) -> ModelParams:
-        if self.vary in ("m", "n"):
-            value = int(round(value))
+        if self.vary in ("m", "n") and isinstance(value, Real) and math.isfinite(value):
+            value = int(round(value))  # anything else is left for ModelParams to reject
         return replace(self.base, **{self.vary: value})
 
 
@@ -127,11 +127,11 @@ def run_single(
     start = time.perf_counter()
     regime = regime.resolved(params)
     law = limit_law(params, regime)
-    sim = simulate_batch(params, regime, samples, seed)
-    ref = reference_normal_batch(
-        law.variance, samples, seed.substream(2), params=params, regime=regime
-    )
-    report = compare_batches(sim, ref, direction=direction, bin_count=bins)
+    collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
+    direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
+    sim = simulate_batch(params, law, samples, seed)
+    ref = reference_normal_batch(law.variance, samples, seed.substream(2))
+    report = compare_batches(sim, ref, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(
         report=report, simulated=sim, reference=ref, wall_time_ms=elapsed, seed=seed
@@ -208,8 +208,7 @@ def run_bound_diagnostics(
     """Analytic remainder bound next to empirical |scale * Q| quantiles."""
     regime = regime.resolved(params)
     law = limit_law(params, regime)
-    x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), samples)
-    y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), samples)
+    x, y = draw_counts(params, samples, seed)
     scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
     q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
     return BoundDiagnosticsRow(

@@ -7,8 +7,8 @@ work is split across threads. Binomial draws use numpy's exact sampler
 (inversion for small np, acceptance-rejection otherwise), whose cost per
 draw is bounded independent of n.
 
-Stream layout: ``simulate_batch`` draws X from substream 0 of its SeedSpec
-and Y from substream 1; ``reference_normal_batch`` consumes the stream it is
+Stream layout: ``draw_counts`` draws X from substream 0 of its SeedSpec and
+Y from substream 1; ``reference_normal_batch`` consumes the stream it is
 given directly (the runner hands it substream 2).
 
 Standardization reads the integer counts as drawn, with no float copies: it
@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import LimitLaw, ModelParams, Regime, limit_law
+from .model import LimitLaw, ModelParams
 
 __all__ = [
     "SeedSpec",
     "SampleBatch",
     "make_generator",
     "draw_binomial",
+    "draw_counts",
     "standardized_statistic",
     "simulate_batch",
     "reference_normal_batch",
@@ -74,16 +75,23 @@ def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
     return gen.binomial(n, p, size=size)
 
 
+def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
+    """``count`` independent (X, Y) draws: X from substream 0, Y from 1."""
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count!r}")
+    x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), count)
+    y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), count)
+    return x, y
+
+
 @dataclass(frozen=True)
 class SampleBatch:
-    """Immutable batch of standardized draws plus degeneracy diagnostics."""
+    """Immutable batch of draws plus degeneracy diagnostics; no model or regime."""
 
     values: np.ndarray
     count: int
     zero_numerator_count: int
     zero_denominator_count: int
-    params: ModelParams | None = None
-    regime: Regime | None = None
 
     def __post_init__(self) -> None:
         self.values.flags.writeable = False
@@ -145,19 +153,14 @@ def standardized_statistic(x, y, law: LimitLaw):
 
 
 def simulate_batch(
-    params: ModelParams, regime: Regime, count: int, seed: SeedSpec
+    params: ModelParams, law: LimitLaw, count: int, seed: SeedSpec
 ) -> SampleBatch:
-    """``count`` independent standardized draws of the ratio statistic.
+    """``count`` independent draws of the ratio statistic standardized by ``law``.
 
-    Deterministic in (params, regime, count, seed). X and Y come from
-    substreams 0 and 1 of ``seed``.
+    Deterministic in (params, law, count, seed); ``law`` is the caller's
+    ``limit_law(params, regime)``. X and Y come from ``draw_counts``.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count!r}")
-    regime = regime.resolved(params)
-    law = limit_law(params, regime)
-    x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), count)
-    y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), count)
+    x, y = draw_counts(params, count, seed)
     values = standardized_statistic(x, y, law)
     zero_num = zero_den = 0
     if x.min() == 0:
@@ -168,19 +171,11 @@ def simulate_batch(
         count=count,
         zero_numerator_count=zero_num,
         zero_denominator_count=zero_den,
-        params=params,
-        regime=regime,
     )
 
 
-def reference_normal_batch(
-    variance: float,
-    count: int,
-    seed: SeedSpec,
-    params: ModelParams | None = None,
-    regime: Regime | None = None,
-) -> SampleBatch:
-    """iid N(0, variance) draws; variance = 0 gives the all-zeros batch."""
+def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> SampleBatch:
+    """iid N(0, variance) draws from ``seed``; variance = 0 gives all zeros."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
     if not (variance >= 0 and math.isfinite(variance)):
@@ -195,6 +190,4 @@ def reference_normal_batch(
         count=count,
         zero_numerator_count=0,
         zero_denominator_count=0,
-        params=params,
-        regime=regime,
     )

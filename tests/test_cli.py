@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -53,6 +54,12 @@ class TestLimit:
         argv = ["limit", "--n", "10", "--m", "10", "--p", "1e-12", "--s", "1",
                 "--r", "30", "--regime", "case2"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
+        # (s(1 + alpha) - r)^2 of the balanced variance overflows
+        model = ["limit", "--n", "100", "--m", "100", "--p", "0.5"]
+        for exponents in (["--s", "1e300", "--r", "1"],
+                          ["--s", "1", "--r", "1", "--alpha", "1e308"]):
+            argv = [*model, *exponents, "--regime", "case2"]
+            assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
     def test_unknown_regime_exit_2(self, capsys):
         code, _, _ = run_cli(
@@ -83,6 +90,15 @@ class TestSimulate:
         argv = ["simulate", "--n", "10", "--m", "10", "--p", "1e-6", "--s", "1",
                 "--r", "30", "--regime", "case3", "--samples", "100"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
+        argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
+                "--r", "1e300", "--regime", "case2", "--samples", "100"]
+        assert_one_line_error(*run_cli(argv, capsys), "overflows")
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
+                "--r", "1", "--regime", "case2", "--samples", "100",
+                "--out", str(tmp_path / "absent" / "report.json")]
+        assert_one_line_error(*run_cli(argv, capsys), "cannot write")
 
     def test_deterministic_output(self, capsys):
         argv = ["simulate", "--n", "10000", "--m", "10000", "--p", "0.5",
@@ -162,9 +178,23 @@ class TestSweep:
             ({**SPEC, "regime": {"kind": "case2", "beta": 1}}, "unknown key 'beta'"),
             ({**SPEC, "grid": {"lo": 1, "hi": 2}}, "grid is missing key 'steps'"),
             ({**SPEC, "direction": "sideways"}, "unknown direction 'sideways'"),
+            ({**SPEC, "base": {**SPEC["base"], "p": "0.5"}}, "got '0.5'"),
+            ({**SPEC, "grid": [1.0, "x"]}, "got 'x'"),
+            ({**SPEC, "vary": "m", "grid": [1.0, "x"]}, "m must be a positive integer"),
+            ({**SPEC, "vary": "n", "grid": [math.nan]}, "n must be a positive integer"),
+            ({**SPEC, "samples": "abc"}, "'samples' must be an integer"),
+            ({**SPEC, "samples": True}, "'samples' must be an integer"),
+            ({**SPEC, "grid": 5}, "grid must be a JSON list or object"),
+            ({**SPEC, "grid": {"lo": 1, "hi": 2, "steps": "a"}}, "'steps' must be"),
+            ({**SPEC, "grid": {"lo": 1, "hi": 2, "steps": -2}}, "'steps' must be"),
+            ({**SPEC, "grid": {"lo": "a", "hi": 2, "steps": 2}}, "'lo' must be"),
+            ({**SPEC, "regime": {"kind": "case2", "alpha": "x"}}, "got 'x'"),
+            ({**SPEC, "bins": None}, "'bins' must be an integer"),
         ],
         ids=["list", "base-key", "top-key", "base-missing", "regime-str",
-             "regime-key", "grid-missing", "direction"],
+             "regime-key", "grid-missing", "direction", "p-str", "grid-str",
+             "grid-m-str", "grid-n-nan", "samples-str", "samples-bool", "grid-int",
+             "steps-str", "steps-negative", "lo-str", "alpha-str", "bins-null"],
     )
     def test_strict_spec_exit_2(self, capsys, tmp_path, spec, message):
         spec_file = tmp_path / "spec.json"
@@ -200,6 +230,11 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
+    def test_overflowing_variance_exit_2(self, capsys):
+        argv = ["oracle", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
+                "--r", "1e300", "--regime", "case2"]
+        assert_one_line_error(*run_cli(argv, capsys), "overflows")
+
 
 class TestBound:
     def test_csv_row(self, capsys):
@@ -212,6 +247,12 @@ class TestBound:
         lines = out.splitlines()
         assert lines[0] == BOUND_CSV_HEADER
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_2(self, capsys, samples):
+        argv = ["bound", "--n", "100", "--m", "100", "--p", "0.5", "--s", "2",
+                "--r", "1", "--regime", "case2", "--samples", samples]
+        assert_one_line_error(*run_cli(argv, capsys), "count must be >= 1")
 
 
 def test_console_entry_point():

@@ -5,26 +5,22 @@ import pytest
 
 from binratio import (
     Direction,
-    ModelParams,
     ParameterError,
-    Regime,
     common_bins,
     compare_batches,
     kl_divergence,
 )
-from binratio.divergence import Histogram, default_direction, histogram
+from binratio.divergence import Histogram, histogram
 from binratio.sampling import SampleBatch, SeedSpec, make_generator
 
 
-def batch_of(values, params=None, regime=None):
+def batch_of(values):
     arr = np.asarray(values, dtype=np.float64)
     return SampleBatch(
         values=arr,
         count=len(arr),
         zero_numerator_count=0,
         zero_denominator_count=0,
-        params=params,
-        regime=regime,
     )
 
 
@@ -215,13 +211,6 @@ class TestCompareBatches:
             assert np.array_equal(got.mass, want.mass)
             assert got.count == batch.count
         assert report == kl_divergence(*report.histograms, Direction.FORWARD)
-
-    def test_default_direction_tracks_regime(self):
-        params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)
-        collapse = batch_of([0.0, 1.0], params, Regime.collapse())
-        balanced = batch_of([0.0, 1.0], params, Regime.case_ii(1.0))
-        assert default_direction(collapse) is Direction.REVERSED
-        assert default_direction(balanced) is Direction.FORWARD
 
     def test_refining_bins_does_not_decrease_forward_kl(self):
         rng_pairs = np.random.default_rng(5)

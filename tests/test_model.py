@@ -31,6 +31,9 @@ class TestModelParams:
             dict(n=1, m=1, p=0.5, s=0.0, r=1.0),
             dict(n=1, m=1, p=0.5, s=1.0, r=-2.0),
             dict(n=1, m=1, p=0.5, s=math.inf, r=1.0),
+            dict(n=1, m=1, p="0.5", s=1.0, r=1.0),
+            dict(n=1, m=1, p=0.5, s="1", r=1.0),
+            dict(n=1, m=1, p=0.5, s=1.0, r=None),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):
@@ -46,6 +49,8 @@ class TestRegime:
             Regime.case_ii(-1.0)
         with pytest.raises(RegimeError):
             Regime.case_ii(math.inf)
+        with pytest.raises(RegimeError):
+            Regime.case_ii("x")
 
     def test_alpha_only_for_balanced(self):
         with pytest.raises(RegimeError):
@@ -124,6 +129,11 @@ class TestLimitLaw:
         params = ModelParams(n=10, m=10, p=1e-12, s=100.0, r=112.2)
         with pytest.raises(ParameterError, match="overflows"):
             limit_law(params, Regime.case_i())
+        # (s(1 + alpha) - r)^2 of the balanced variance overflows on its own
+        for s, r, alpha in [(1e300, 1.0, 1.0), (1.0, 1.0, 1e308), (1.0, 1e300, 1.0)]:
+            params = ModelParams(n=100, m=100, p=0.5, s=s, r=r)
+            with pytest.raises(ParameterError, match="overflows"):
+                limit_law(params, Regime.case_ii(alpha))
 
 
 class TestVarianceConsistency:

@@ -112,7 +112,7 @@ class TestExactDistribution:
         params = ModelParams(n=50, m=80, p=0.3, s=2.0, r=1.0)
         regime = Regime.case_ii(1.6)
         dist = exact_distribution(params, standardize=True, regime=regime)
-        batch = simulate_batch(params, regime, 10**6, SeedSpec(77))
+        batch = simulate_batch(params, limit_law(params, regime), 10**6, SeedSpec(77))
         stderr_mean = batch.values.std() / math.sqrt(batch.count)
         assert abs(batch.values.mean() - dist.mean) < 5 * stderr_mean
         # variance stderr ~ var * sqrt(2/N) for near-Normal samples

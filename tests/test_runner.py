@@ -57,6 +57,14 @@ class TestRunSingle:
         rev = run_single(collapse_params, Regime.collapse(), samples=1000)
         assert rev.report.direction is Direction.REVERSED
 
+    def test_unresolved_balanced_alpha_is_m_over_n(self):
+        params = ModelParams(n=1000, m=2500, p=0.5, s=2.0, r=1.0)
+        implicit = run_single(params, Regime.case_ii(None), samples=2000)
+        explicit = run_single(params, Regime.case_ii(2.5), samples=2000)
+        assert implicit.report == explicit.report
+        assert np.array_equal(implicit.simulated.values, explicit.simulated.values)
+        assert np.array_equal(implicit.reference.values, explicit.reference.values)
+
 
 class TestRunSweep:
     def test_rows_in_grid_order(self):

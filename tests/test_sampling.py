@@ -19,6 +19,7 @@ from binratio import (
     simulate_batch,
     standardized_statistic,
 )
+from binratio.sampling import draw_counts
 
 
 def reference_standardized_statistic(x, y, law):
@@ -292,16 +293,34 @@ class TestKernelMatchesReference:
             standardized_statistic(x, y, self.LAW)
 
 
+class TestDrawCounts:
+    def test_matches_draws_on_substreams_0_and_1(self):
+        n, m, seed = 1000, 2_000_000_000, SeedSpec(11, 5)
+        x, y = draw_counts(ModelParams(n=n, m=m, p=0.3, s=1.0, r=1.0), 5000, seed)
+        want_x = draw_binomial(n, 0.3, make_generator(seed.substream(0)), 5000)
+        want_y = draw_binomial(m, 0.3, make_generator(seed.substream(1)), 5000)
+        assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
+        assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_nonpositive_count(self, count):
+        params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)
+        with pytest.raises(ParameterError):
+            draw_counts(params, count, SeedSpec(0))
+
+
 class TestSimulateBatch:
     def test_deterministic(self):
         params = ModelParams(n=1000, m=1000, p=0.5, s=2.0, r=1.0)
-        a = simulate_batch(params, Regime.case_ii(1.0), 500, SeedSpec(8))
-        b = simulate_batch(params, Regime.case_ii(1.0), 500, SeedSpec(8))
+        law = limit_law(params, Regime.case_ii(1.0))
+        a = simulate_batch(params, law, 500, SeedSpec(8))
+        b = simulate_batch(params, law, 500, SeedSpec(8))
         assert np.array_equal(a.values, b.values)
 
     def test_no_zero_numerators_at_large_n(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
-        batch = simulate_batch(params, Regime.case_ii(1.0), 10**5, SeedSpec(4))
+        law = limit_law(params, Regime.case_ii(1.0))
+        batch = simulate_batch(params, law, 10**5, SeedSpec(4))
         assert batch.zero_numerator_count == 0
         assert batch.zero_denominator_count == 0
 
@@ -309,7 +328,7 @@ class TestSimulateBatch:
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
         regime = Regime.case_ii(1.0)
         law = limit_law(params, regime)
-        batch = simulate_batch(params, regime, 10**5, SeedSpec(12))
+        batch = simulate_batch(params, law, 10**5, SeedSpec(12))
         assert batch.values.var() == pytest.approx(law.variance, rel=0.10)
 
     def test_variance_error_shrinks_with_n(self):
@@ -320,19 +339,15 @@ class TestSimulateBatch:
         for n in [10**2, 10**4, 10**6]:
             params = ModelParams(n=n, m=n, p=0.5, s=15.0, r=15.0)
             law = limit_law(params, regime)
-            batch = simulate_batch(params, regime, 10**5, SeedSpec(31))
+            batch = simulate_batch(params, law, 10**5, SeedSpec(31))
             errs.append(abs(batch.values.var() - law.variance) / law.variance)
         assert errs[0] > errs[1] > errs[2]
-
-    def test_resolves_balanced_alpha(self):
-        params = ModelParams(n=1000, m=2500, p=0.5, s=1.0, r=1.0)
-        batch = simulate_batch(params, Regime.case_ii(None), 10, SeedSpec(0))
-        assert batch.regime.alpha == pytest.approx(2.5)
 
     def test_zero_counts_on_small_n(self):
         params = ModelParams(n=3, m=2, p=0.3, s=1.0, r=1.0)
         seed = SeedSpec(6)
-        batch = simulate_batch(params, Regime.case_ii(1.0), 2000, seed)
+        law = limit_law(params, Regime.case_ii(1.0))
+        batch = simulate_batch(params, law, 2000, seed)
         x = draw_binomial(3, 0.3, make_generator(seed.substream(0)), 2000)
         y = draw_binomial(2, 0.3, make_generator(seed.substream(1)), 2000)
         assert batch.zero_numerator_count == np.count_nonzero(x == 0) > 0
@@ -340,7 +355,8 @@ class TestSimulateBatch:
 
     def test_values_immutable(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
-        batch = simulate_batch(params, Regime.case_ii(1.0), 10, SeedSpec(0))
+        law = limit_law(params, Regime.case_ii(1.0))
+        batch = simulate_batch(params, law, 10, SeedSpec(0))
         with pytest.raises(ValueError):
             batch.values[0] = 0.0
 
