@@ -147,8 +147,7 @@ def scaled_remainder_samples(
     """
     from .sampling import standardized_statistic
 
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p
     t0 = x0 + y0
     amp = math.exp(law.log_scale + law.log_center)  # scale * f(np, mp)
@@ -158,26 +157,23 @@ def scaled_remainder_samples(
     return t_vals - (sgx * (x - x0) + sgy * (y - y0))
 
 
-def _bound_log_scale(params: ModelParams, regime: Regime) -> float:
-    # The collapse diagnostic asks whether the heavy-denominator proof
-    # scaling would kill the bound, so it shares that regime's scale.
-    if regime.kind in (RegimeKind.HEAVY_DENOMINATOR, RegimeKind.COLLAPSE):
-        return params.r * math.log(params.m) - (params.s - 0.5) * math.log(params.n)
-    return limit_law(params, regime.resolved(params)).log_scale
-
-
-def scaled_remainder_bound(params: ModelParams, regime: Regime) -> float:
+def scaled_remainder_bound(params: ModelParams, regime: Regime, law: LimitLaw) -> float:
     """Analytic remainder bound n^(s-2) log(n+m) / (n+m)^(r-1), rescaled.
 
+    ``law`` is ``limit_law(params, regime)`` and supplies the scale. The
+    collapse diagnostic asks whether the heavy-denominator proof scaling
+    would kill the bound, so under collapse the scale is that regime's.
     The unknown concentration constant is fixed at 1, so only trends across
     sizes are meaningful, not absolute domination of the empirical remainder.
     """
+    if regime.kind is RegimeKind.COLLAPSE:
+        law = limit_law(params, Regime.case_i())
     n, m, r, s = params.n, params.m, params.r, params.s
     log_bound = (
         (s - 2) * math.log(n)
         - (r - 1) * math.log(n + m)
         + math.log(math.log(n + m))
-        + _bound_log_scale(params, regime)
+        + law.log_scale
     )
     try:
         return math.exp(log_bound)

@@ -7,7 +7,8 @@ Subcommands:
   oracle     exact enumeration at small sizes; JSON moments (+ support)
   bound      remainder-bound diagnostics table; CSV
 
-Exit codes: 0 success, 2 invalid parameters, 3 enumeration budget exceeded.
+Exit codes: 0 success (also when stdout is closed early), 2 invalid
+parameters, 3 enumeration budget exceeded.
 All output is UTF-8 with LF line endings; floats carry 17 significant digits.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -326,6 +328,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): nothing is left to
+        # report. Point stdout at devnull so the flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParameterError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,13 @@
-"""Common binning and discrete KL divergence for comparing two sample batches.
+"""Common binning and discrete KL divergence for comparing two samples.
 
-Both batches are histogrammed on equal-width bins spanning their pooled
-range, then compared with the discrete KL divergence. Binning sorts each
-batch once and reads every bin boundary, and the counts below and above the
-edges, from one binary search of the sorted values. When the simulated
+Both samples are histogrammed on equal-width bins spanning their pooled
+range, then compared with the discrete KL divergence. ``compare_batches``
+sorts each sample once; the pooled range comes from the sorted ends
+(``common_bins``) and every bin boundary, with the counts below and above
+the edges, from one binary search of the same sorted values
+(``histogram``). The functions take plain arrays; ``common_bins`` and
+``histogram`` take them already sorted and, like ``np.searchsorted``, do
+not check the order. When the simulated
 statistic degenerates (all draws in one bin), the forward divergence is
 uninformative and the reversed direction is used instead. Every comparison
 names its direction; the runner, which holds the regime, picks reversed for
@@ -12,13 +16,13 @@ the collapse regime and forward otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ParameterError
-from .sampling import SampleBatch
 
 __all__ = [
     "Direction",
@@ -42,11 +46,11 @@ class Direction(str, Enum):
 class Histogram:
     """Binned empirical distribution on shared edges.
 
-    ``mass`` is normalized by the source batch size ``count``; values outside
-    [edges[0], edges[-1]] land in undercount/overcount (zero when the edges
-    came from ``common_bins`` over the same data). ``histogram`` reads both
-    counts from the same search of the sorted batch that yields the bins, so
-    they cost no extra pass.
+    ``mass`` is normalized by the source sample size ``count``; values
+    outside [edges[0], edges[-1]] land in undercount/overcount (zero when
+    the edges came from ``common_bins`` over the same data). ``histogram``
+    reads both counts from the same search of the sorted sample that yields
+    the bins, so they cost no extra pass.
     """
 
     edges: np.ndarray
@@ -64,45 +68,65 @@ class Histogram:
             raise ParameterError("edges must be strictly increasing")
 
 
-def common_bins(
-    a: SampleBatch, b: SampleBatch, bin_count: int = DEFAULT_BIN_COUNT
-) -> np.ndarray:
-    """Equal-width edges spanning the pooled range of both batches.
+def _lowest(ordered: np.ndarray):
+    # What ordered.min() gives: NaN when the sample holds one (np.sort puts
+    # NaN last), else the first value.
+    last = ordered[-1]
+    return last if math.isnan(last) else ordered[0]
 
-    A degenerate pooled range (all values identical) widens to +/- 1/2
-    around the common value.
+
+def common_bins(
+    a_sorted: np.ndarray, b_sorted: np.ndarray, bin_count: int = DEFAULT_BIN_COUNT
+) -> np.ndarray:
+    """Equal-width edges spanning the pooled range of two ascending-sorted samples.
+
+    Both samples must already be in ``np.sort`` order (NaN last), as for
+    ``np.searchsorted``: the order is not checked, and an unsorted sample
+    gives a wrong range. The range is read from the sorted ends, with each
+    sample's minimum and maximum NaN when it holds a NaN, pooled by Python's
+    ``min``/``max``. A degenerate pooled range (all values identical) widens
+    to +/- 1/2 around the common value. The edges come back read-only, so
+    ``histogram`` can share them.
     """
-    if a.count == 0 or b.count == 0:
-        raise ParameterError("both batches must be nonempty")
+    if len(a_sorted) == 0 or len(b_sorted) == 0:
+        raise ParameterError("both samples must be nonempty")
     if bin_count < 2:
         raise ParameterError(f"bin_count must be >= 2, got {bin_count!r}")
-    lo = min(a.values.min(), b.values.min())
-    hi = max(a.values.max(), b.values.max())
+    lo = min(_lowest(a_sorted), _lowest(b_sorted))
+    hi = max(a_sorted[-1], b_sorted[-1])
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, bin_count + 1)
+    edges = np.linspace(lo, hi, bin_count + 1)
+    edges.flags.writeable = False
+    return edges
 
 
-def histogram(batch: SampleBatch, edges: np.ndarray) -> Histogram:
-    """Bin a batch on the given edges (right-inclusive last bin).
+def histogram(ordered: np.ndarray, edges: np.ndarray) -> Histogram:
+    """Bin an ascending-sorted sample on the given edges (right-inclusive last bin).
 
-    One sort of the batch, then one binary search per edge: ``cum[i]`` is the
-    number of values below ``edges[i]``, except that the last entry also
-    takes the values equal to ``edges[-1]``. Bin counts are the differences;
-    the count below the first edge and above the last fall out of the ends.
-    Same counts as ``np.histogram`` on these edges; a NaN value sorts above
-    every edge and so counts as over.
+    ``ordered`` must already be in ``np.sort`` order (NaN last), as for
+    ``np.searchsorted``: the order is not checked, and an unsorted sample
+    gives wrong counts. One binary search per edge: ``cum[i]`` is the number
+    of values below ``edges[i]``, except that the last entry also takes the
+    values equal to ``edges[-1]``. Bin counts are the differences; the count
+    below the first edge and above the last fall out of the ends. Same
+    counts as ``np.histogram`` on these edges; a NaN value sorts above every
+    edge and so counts as over. Read-only float64 edges (as ``common_bins``
+    returns) are held as given, so histograms binned on them share one
+    array; writable edges are copied, and the caller's array stays writable.
     """
-    edges = np.array(edges, dtype=np.float64)
-    ordered = np.sort(batch.values)
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.flags.writeable:
+        edges = edges.copy()
+    count = len(ordered)
     cum = ordered.searchsorted(edges)
     cum[-1] = ordered.searchsorted(edges[-1], side="right")
     return Histogram(
         edges=edges,
-        mass=(cum[1:] - cum[:-1]) / batch.count,
-        count=batch.count,
+        mass=(cum[1:] - cum[:-1]) / count,
+        count=count,
         undercount=int(cum[0]),
-        overcount=batch.count - int(cum[-1]),
+        overcount=count - int(cum[-1]),
     )
 
 
@@ -132,7 +156,7 @@ def kl_divergence(
     mass replaced by 1/(2N), N the denominator batch size, and is counted in
     ``smoothed_bins``.
     """
-    if len(a_hist.edges) != len(b_hist.edges) or not np.array_equal(
+    if a_hist.edges is not b_hist.edges and not np.array_equal(
         a_hist.edges, b_hist.edges
     ):
         raise ParameterError("histograms must share identical edges")
@@ -141,9 +165,10 @@ def kl_divergence(
     else:
         num, den, n_den = b_hist.mass, a_hist.mass, a_hist.count
     active = num > 0
-    needs_floor = active & (den == 0)
-    den_eff = np.where(needs_floor, 1.0 / (2 * n_den), den)
-    kl = float(np.sum(num[active] * (np.log(num[active]) - np.log(den_eff[active]))))
+    num_a, den_a = num[active], den[active]  # fancy indexing copies
+    needs_floor = den_a == 0
+    den_a[needs_floor] = 1.0 / (2 * n_den)
+    kl = float(np.sum(num_a * (np.log(num_a) - np.log(den_a))))
     return DivergenceReport(
         kl=kl,
         direction=direction,
@@ -154,15 +179,19 @@ def kl_divergence(
 
 
 def compare_batches(
-    a: SampleBatch,
-    b: SampleBatch,
+    a: np.ndarray,
+    b: np.ndarray,
     direction: Direction,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> DivergenceReport:
     """Full comparison: common bins, two histograms, KL in one direction.
 
-    ``a`` is the simulated batch, ``b`` the reference; the report's
-    ``histograms`` are theirs, in that order.
+    ``a`` is the simulated sample, ``b`` the reference; each is sorted once
+    and both the edges and the bins are read from the sorted copies. The
+    report's ``histograms`` are theirs, in that order.
     """
-    edges = common_bins(a, b, bin_count)
-    return kl_divergence(histogram(a, edges), histogram(b, edges), direction)
+    a_sorted, b_sorted = np.sort(a), np.sort(b)
+    edges = common_bins(a_sorted, b_sorted, bin_count)
+    return kl_divergence(
+        histogram(a_sorted, edges), histogram(b_sorted, edges), direction
+    )

@@ -35,9 +35,11 @@ from .model import ModelParams, Regime, RegimeKind, limit_law
 from .sampling import (
     SampleBatch,
     SeedSpec,
+    check_trials,
     draw_counts,
     reference_normal_batch,
     simulate_batch,
+    thread_generator_scope,
 )
 
 __all__ = [
@@ -131,7 +133,7 @@ def run_single(
     direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
     sim = simulate_batch(params, law, samples, seed)
     ref = reference_normal_batch(law.variance, samples, seed.substream(2))
-    report = compare_batches(sim, ref, direction, bins)
+    report = compare_batches(sim.values, ref.values, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(
         report=report, simulated=sim, reference=ref, wall_time_ms=elapsed, seed=seed
@@ -143,9 +145,7 @@ def _point_seed(spec: SweepSpec, point: int, rep: int) -> SeedSpec:
     return SeedSpec(spec.master_seed, index * _STREAMS_PER_RUN)
 
 
-def _run_point(spec: SweepSpec, point: int, rep: int) -> SweepRow:
-    value = spec.grid[point]
-    params = spec.params_at(value)
+def _run_point(spec: SweepSpec, params: ModelParams, point: int, rep: int) -> SweepRow:
     seed = _point_seed(spec, point, rep)
     result = run_single(
         params,
@@ -157,7 +157,7 @@ def _run_point(spec: SweepSpec, point: int, rep: int) -> SweepRow:
     )
     return SweepRow(
         varied_param=spec.vary,
-        varied_value=float(value),
+        varied_value=float(spec.grid[point]),
         kl=result.report.kl,
         direction=result.report.direction,
         smoothed_bins=result.report.smoothed_bins,
@@ -170,22 +170,27 @@ def _run_point(spec: SweepSpec, point: int, rep: int) -> SweepRow:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """All grid points (times replicates), rows in grid order.
 
-    Every grid point is validated before any simulation starts, so an
-    invalid point fails fast. Results are independent of ``threads``.
+    Every grid point's params are built, and so validated (trial counts
+    included), once before any simulation starts, so an invalid point fails
+    fast. Results are independent of ``threads``. Each thread that runs
+    points draws from one generator, dropped when the sweep ends.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads!r}")
-    for value in spec.grid:
-        spec.params_at(value)  # raises ParameterError on a bad point
+    points = [spec.params_at(value) for value in spec.grid]
+    for params in points:
+        check_trials(params)
     tasks = [
-        (point, rep)
-        for point in range(len(spec.grid))
+        (params, point, rep)
+        for point, params in enumerate(points)
         for rep in range(spec.replicates_per_point)
     ]
     if threads == 1:
-        return [_run_point(spec, point, rep) for point, rep in tasks]
+        with thread_generator_scope():
+            return [_run_point(spec, *task) for task in tasks]
+    # Pool threads end with the pool, and their generators with them.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_point, spec, point, rep) for point, rep in tasks]
+        futures = [pool.submit(_run_point, spec, *task) for task in tasks]
         return [f.result() for f in futures]
 
 
@@ -208,13 +213,14 @@ def run_bound_diagnostics(
     """Analytic remainder bound next to empirical |scale * Q| quantiles."""
     regime = regime.resolved(params)
     law = limit_law(params, regime)
-    x, y = draw_counts(params, samples, seed)
+    with thread_generator_scope():
+        x, y = draw_counts(params, samples, seed)
     scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
     q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
     return BoundDiagnosticsRow(
         n=params.n,
         m=params.m,
-        bound=scaled_remainder_bound(params, regime),
+        bound=scaled_remainder_bound(params, regime, law),
         q50=float(q50),
         q99=float(q99),
         q100=float(scaled_q.max()),

@@ -9,7 +9,14 @@ draw is bounded independent of n.
 
 Stream layout: ``draw_counts`` draws X from substream 0 of its SeedSpec and
 Y from substream 1; ``reference_normal_batch`` consumes the stream it is
-given directly (the runner hands it substream 2).
+given directly (the runner hands it substream 2). Both draw from one
+Philox generator per thread, re-keyed for each stream: resetting the key,
+the counter and the output buffer through the bit generator's ``state``
+gives exactly the stream a fresh ``make_generator`` would, for a fraction
+of the cost of building one. ``make_generator`` builds a thread's
+generator at its first draw; the runner drops it when a sweep or a bound
+diagnostic ends (``thread_generator_scope``), so none outlives the run
+that drew from it.
 
 Standardization reads the integer counts as drawn, with no float copies: it
 forms x + y and the two logs in float64 and does every later step in place,
@@ -20,6 +27,8 @@ conventions are applied by masks only when some count is zero.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,8 @@ __all__ = [
     "SeedSpec",
     "SampleBatch",
     "make_generator",
+    "thread_generator_scope",
+    "check_trials",
     "draw_binomial",
     "draw_counts",
     "standardized_statistic",
@@ -66,6 +77,64 @@ def make_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# The largest trial count Generator.binomial accepts: it reads n as int64.
+MAX_TRIALS = 2**63 - 1
+
+_FRESH_BLOCK = (0, 0, 0, 0)
+_thread = threading.local()
+
+
+def _keyed_generator(seed: SeedSpec) -> np.random.Generator:
+    """This thread's generator, re-keyed to give ``make_generator(seed)``'s stream.
+
+    The state of a freshly keyed Philox is counter 0, an exhausted output
+    buffer and no cached 32-bit half; the Generator's only other state, the
+    Binomial set-up cache, is a pure function of (n, p). The returned object
+    is shared: the next call on this thread re-keys it.
+    """
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        _thread.generator = make_generator(seed)
+        return _thread.generator
+    key = (seed.master_seed, seed.stream_index)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH_BLOCK, "key": key},
+        "buffer": _FRESH_BLOCK,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+@contextmanager
+def thread_generator_scope():
+    """Drop this thread's generator when the block exits.
+
+    Draws inside the block share one generator, built at the first of them;
+    the next draw after the block builds a new one. Streams do not depend on
+    the scope: every draw re-keys the generator first.
+    """
+    try:
+        yield
+    finally:
+        _thread.__dict__.pop("generator", None)
+
+
+def check_trials(params: ModelParams) -> None:
+    """ParameterError unless the sampler can draw ``params``' trial counts.
+
+    ``Generator.binomial`` takes n as a 64-bit integer, so n and m must be
+    at most ``MAX_TRIALS``.
+    """
+    if max(params.n, params.m) > MAX_TRIALS:
+        raise ParameterError(
+            f"n and m must be at most 2**63 - 1 to sample, "
+            f"got n={params.n}, m={params.m}"
+        )
+
+
 def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
     """Exact Binomial(n, p) draw(s) from an already-constructed generator."""
     if n < 1:
@@ -76,30 +145,35 @@ def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
 
 
 def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
-    """``count`` independent (X, Y) draws: X from substream 0, Y from 1."""
+    """``count`` independent (X, Y) draws: X from substream 0, Y from 1.
+
+    Trial counts above ``MAX_TRIALS`` are a ParameterError (``check_trials``).
+    """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
-    x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), count)
-    y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), count)
+    check_trials(params)
+    x = draw_binomial(params.n, params.p, _keyed_generator(seed.substream(0)), count)
+    y = draw_binomial(params.m, params.p, _keyed_generator(seed.substream(1)), count)
     return x, y
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Immutable batch of draws plus degeneracy diagnostics; no model or regime."""
+    """Read-only draws plus their degeneracy counts; no model or regime.
+
+    ``zero_numerator_count`` counts draws with x = 0 and
+    ``zero_denominator_count`` those with x + y = 0; the batch size is
+    ``len(values)``.
+    """
 
     values: np.ndarray
-    count: int
     zero_numerator_count: int
     zero_denominator_count: int
 
     def __post_init__(self) -> None:
         self.values.flags.writeable = False
-        if self.count != len(self.values):
-            raise ParameterError("count must equal len(values)")
-        if not (
-            0 <= self.zero_denominator_count <= self.zero_numerator_count <= self.count
-        ):
+        size = len(self.values)
+        if not 0 <= self.zero_denominator_count <= self.zero_numerator_count <= size:
             raise ParameterError("inconsistent degeneracy counts")
 
 
@@ -167,10 +241,7 @@ def simulate_batch(
         zero_num = int(np.count_nonzero(x == 0))
         zero_den = int(np.count_nonzero((x == 0) & (y == 0)))
     return SampleBatch(
-        values=values,
-        count=count,
-        zero_numerator_count=zero_num,
-        zero_denominator_count=zero_den,
+        values=values, zero_numerator_count=zero_num, zero_denominator_count=zero_den
     )
 
 
@@ -183,11 +254,6 @@ def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> Sampl
     if variance == 0.0:
         values = np.zeros(count)
     else:
-        gen = make_generator(seed)
+        gen = _keyed_generator(seed)
         values = gen.normal(0.0, math.sqrt(variance), size=count)
-    return SampleBatch(
-        values=values,
-        count=count,
-        zero_numerator_count=0,
-        zero_denominator_count=0,
-    )
+    return SampleBatch(values=values, zero_numerator_count=0, zero_denominator_count=0)

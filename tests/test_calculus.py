@@ -199,12 +199,14 @@ class TestRemainder:
             remainder(params, -1.0, 2.0)
 
 
+def bound_of(params, regime):
+    return scaled_remainder_bound(params, regime, limit_law(params, regime))
+
+
 class TestScaledRemainderBound:
     def test_balanced_decreases_with_n(self):
         vals = [
-            scaled_remainder_bound(
-                ModelParams(n=n, m=n, p=0.5, s=2.0, r=1.0), Regime.case_ii(1.0)
-            )
+            bound_of(ModelParams(n=n, m=n, p=0.5, s=2.0, r=1.0), Regime.case_ii(1.0))
             for n in [10**6, 4 * 10**6]
         ]
         assert vals[1] < vals[0]
@@ -216,12 +218,12 @@ class TestScaledRemainderBound:
         for n in [10**4, 10**5, 10**6]:
             m = int(n**1.2)
             params = ModelParams(n=n, m=m, p=0.5, s=2.0, r=2.0)
-            vals.append(scaled_remainder_bound(params, Regime.case_i()))
+            vals.append(bound_of(params, Regime.case_i()))
         assert vals[0] > vals[1] > vals[2]
 
     def test_collapse_bound_is_large(self):
         params = ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0)
-        assert scaled_remainder_bound(params, Regime.collapse()) > 1.0
+        assert bound_of(params, Regime.collapse()) > 1.0
 
 
 class TestScaledRemainderSamples:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -253,6 +254,44 @@ class TestBound:
         argv = ["bound", "--n", "100", "--m", "100", "--p", "0.5", "--s", "2",
                 "--r", "1", "--regime", "case2", "--samples", samples]
         assert_one_line_error(*run_cli(argv, capsys), "count must be >= 1")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound", "sweep"])
+@pytest.mark.parametrize("oversized", ["--n", "--m"])
+def test_trial_counts_above_int64_exit_2(capsys, tmp_path, command, oversized):
+    if command == "sweep":  # the oversized grid point comes last
+        spec_file = tmp_path / "spec.json"
+        spec = {**SPEC, "vary": oversized[2:],
+                "grid": {"lo": 100, "hi": 1e23, "steps": 2}}
+        spec_file.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec_file)]
+    else:
+        sizes = {"--n": "100", "--m": "100", oversized: "100000000000000000000000"}
+        argv = [command, *(v for kv in sizes.items() for v in kv), "--p", "0.5",
+                "--s", "1", "--r", "1", "--regime", "case2", "--samples", "10"]
+    assert_one_line_error(*run_cli(argv, capsys), "at most 2**63 - 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig3c", "--samples", "200"],
+    ["oracle", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2", "--r", "1"],
+    ["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1", "--r", "1",
+     "--regime", "case3"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails, as it does under ``| head -1``
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "binratio.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_console_entry_point():

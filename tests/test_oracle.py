@@ -113,10 +113,10 @@ class TestExactDistribution:
         regime = Regime.case_ii(1.6)
         dist = exact_distribution(params, standardize=True, regime=regime)
         batch = simulate_batch(params, limit_law(params, regime), 10**6, SeedSpec(77))
-        stderr_mean = batch.values.std() / math.sqrt(batch.count)
+        stderr_mean = batch.values.std() / math.sqrt(len(batch.values))
         assert abs(batch.values.mean() - dist.mean) < 5 * stderr_mean
         # variance stderr ~ var * sqrt(2/N) for near-Normal samples
-        stderr_var = dist.variance * math.sqrt(2 / batch.count)
+        stderr_var = dist.variance * math.sqrt(2 / len(batch.values))
         assert abs(batch.values.var() - dist.variance) < 5 * stderr_var
 
     def test_budget_exceeded(self):

@@ -11,6 +11,7 @@ from binratio import (
     run_single,
     run_sweep,
 )
+from binratio import runner, sampling
 from binratio.runner import PRESET_NAMES, _point_seed, preset
 from binratio.sampling import SeedSpec
 
@@ -66,10 +67,101 @@ class TestRunSingle:
         assert np.array_equal(implicit.reference.values, explicit.reference.values)
 
 
+def assert_same_run(a, b):
+    assert a.report == b.report and a.seed == b.seed
+    for got, want in ((a.simulated, b.simulated), (a.reference, b.reference)):
+        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+        assert got.zero_numerator_count == want.zero_numerator_count
+        assert got.zero_denominator_count == want.zero_denominator_count
+    for got, want in zip(a.report.histograms, b.report.histograms):
+        assert np.array_equal(got.mass, want.mass)
+        assert np.array_equal(got.edges, want.edges)
+
+
+class TestRepeatedRunsInOneProcess:
+    # each thread re-keys one generator for every stream, so no run may
+    # depend on what ran before it
+    RUNS = [
+        (BALANCED_PARAMS, Regime.case_ii(1.0), SeedSpec(3)),
+        (ModelParams(n=12, m=9, p=0.2, s=1.0, r=1.0), Regime.case_ii(None),
+         SeedSpec(3, 7)),
+        (ModelParams(n=10**4, m=10**7, p=0.5, s=3.0, r=3.0), Regime.collapse(),
+         SeedSpec(8)),
+    ]
+
+    def _run(self, index):
+        params, regime, seed = self.RUNS[index]
+        return run_single(params, regime, samples=2000, bins=40, seed=seed)
+
+    def test_same_run_twice(self):
+        assert_same_run(self._run(0), self._run(0))
+
+    def test_interleaved_seeds(self):
+        first = [self._run(i) for i in range(3)]
+        again = [self._run(i) for i in (2, 0, 1, 0)]
+        for got, index in zip(again, (2, 0, 1, 0)):
+            assert_same_run(got, first[index])
+
+    def test_sweep_on_one_and_two_threads(self):
+        spec = small_spec(vary="p", grid=(0.05, 0.5, 0.95), replicates_per_point=3)
+        serial = run_sweep(spec, threads=1)
+        self._run(1)
+        threaded = run_sweep(spec, threads=2)
+        again = run_sweep(spec, threads=1)
+        for a, b, c in zip(serial, threaded, again):
+            assert (a.kl, a.direction, a.smoothed_bins, a.zero_denominator_count) == (
+                b.kl, b.direction, b.smoothed_bins, b.zero_denominator_count
+            )
+            assert (a.varied_value, a.seed) == (b.varied_value, b.seed)
+            assert (a.kl, a.seed) == (c.kl, c.seed)
+        assert len(serial) == len(threaded) == 9
+
+
+class TestGeneratorsBuilt:
+    # each thread builds one generator per sweep or bound diagnostic and
+    # re-keys it for every stream
+    @pytest.fixture
+    def built(self, monkeypatch):
+        seeds = []
+        make = sampling.make_generator
+
+        def counting(seed):
+            seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(sampling, "make_generator", counting)
+        return seeds
+
+    def test_one_per_serial_sweep(self, built):
+        spec = small_spec(replicates_per_point=2)
+        run_sweep(spec)
+        assert len(built) == 1
+        run_sweep(spec)
+        assert len(built) == 2
+
+    def test_at_most_one_per_pool_thread(self, built):
+        run_sweep(small_spec(replicates_per_point=2), threads=2)
+        assert 1 <= len(built) <= 2
+
+    def test_one_per_bound_diagnostic(self, built):
+        for _ in range(2):
+            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(1.0), samples=100)
+        assert len(built) == 2
+
+
 class TestRunSweep:
     def test_rows_in_grid_order(self):
         rows = run_sweep(small_spec())
         assert [row.varied_value for row in rows] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("vary", ["n", "m"])
+    def test_trial_counts_checked_before_any_run(self, monkeypatch, vary):
+        ran = []
+        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
+        spec = small_spec(vary=vary, grid=(100, 2**63))
+        with pytest.raises(ParameterError, match="at most 2\\*\\*63 - 1"):
+            run_sweep(spec)
+        assert ran == []
 
     def test_single_point_matches_run_single(self):
         spec = small_spec(grid=(2.0,))

@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 
 import numpy as np
@@ -19,7 +20,12 @@ from binratio import (
     simulate_batch,
     standardized_statistic,
 )
-from binratio.sampling import draw_counts
+from binratio.sampling import (
+    MAX_TRIALS,
+    _keyed_generator,
+    draw_counts,
+    thread_generator_scope,
+)
 
 
 def reference_standardized_statistic(x, y, law):
@@ -307,6 +313,95 @@ class TestDrawCounts:
         params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)
         with pytest.raises(ParameterError):
             draw_counts(params, count, SeedSpec(0))
+
+    @pytest.mark.parametrize("n, m", [(2**63, 10), (10, 2**63), (10**23, 100)])
+    def test_rejects_trial_counts_above_int64(self, n, m):
+        params = ModelParams(n=n, m=m, p=0.5, s=1.0, r=1.0)
+        with pytest.raises(ParameterError, match="at most 2\\*\\*63 - 1"):
+            draw_counts(params, 3, SeedSpec(0))
+
+    def test_largest_trial_count_is_drawn(self):
+        params = ModelParams(n=MAX_TRIALS, m=MAX_TRIALS, p=0.5, s=1.0, r=1.0)
+        x, y = draw_counts(params, 3, SeedSpec(0))
+        assert x.dtype == np.int64 and ((x > 0) & (y > 0)).all()
+
+
+def _use(gen, kind):
+    """Leave ``gen`` just after one kind of draw, with any cache it fills."""
+    if kind == "binomial_same":
+        gen.binomial(10**6, 0.3, size=7)
+    elif kind == "binomial_other":
+        gen.binomial(2_000_000_000, 0.71, size=5)
+    elif kind == "binomial_inversion":
+        gen.binomial(12, 0.2, size=9)  # n * p <= 30: the inversion sampler
+    elif kind == "normal":
+        gen.normal(size=3)
+    elif kind == "uint32":
+        gen.integers(0, 2**32, size=1, dtype=np.uint32)  # leaves a cached half
+
+
+PRIOR_USES = ["fresh", "binomial_same", "binomial_other", "binomial_inversion",
+              "normal", "uint32"]
+
+
+class TestKeyedGenerator:
+    SEED = SeedSpec(2**64 - 1, 12345)
+
+    @pytest.mark.parametrize("prior", PRIOR_USES)
+    def test_rekey_reproduces_fresh_generator(self, prior):
+        gen = _keyed_generator(SeedSpec(3, 4))
+        _use(gen, prior)
+        gen = _keyed_generator(self.SEED)
+        fresh = make_generator(self.SEED)
+        state, want = gen.bit_generator.state, fresh.bit_generator.state
+        assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
+        assert state["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+        assert state["buffer"].tolist() == want["buffer"].tolist()
+        for key in ("buffer_pos", "has_uint32", "uinteger"):
+            assert state[key] == want[key]
+        for draw in (
+            lambda g: g.binomial(10**6, 0.3, size=4000),
+            lambda g: g.binomial(12, 0.2, size=4000),
+            lambda g: g.normal(0.0, 1.5, size=4000),
+            lambda g: g.binomial(2_000_000_000, 0.71, size=4000),
+        ):
+            got, expected = draw(gen), draw(fresh)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_one_generator_per_thread(self):
+        mine = _keyed_generator(SeedSpec(1))
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.append(_keyed_generator(SeedSpec(1)))
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert _keyed_generator(SeedSpec(2)) is mine
+        assert seen[0] is not mine
+
+    def test_scope_drops_the_thread_generator(self):
+        with thread_generator_scope():
+            inside = _keyed_generator(SeedSpec(1))
+            assert _keyed_generator(SeedSpec(2)) is inside
+        after = _keyed_generator(SeedSpec(1))
+        assert after is not inside
+        assert np.array_equal(after.normal(size=8), make_generator(SeedSpec(1)).normal(size=8))
+
+    @pytest.mark.parametrize("prior", PRIOR_USES)
+    def test_draws_match_fresh_generators_after_any_use(self, prior):
+        _use(_keyed_generator(SeedSpec(8)), prior)
+        params = ModelParams(n=40, m=3_000_000, p=0.35, s=1.0, r=1.0)
+        x, y = draw_counts(params, 3000, self.SEED)
+        x_gen = make_generator(self.SEED.substream(0))
+        y_gen = make_generator(self.SEED.substream(1))
+        assert np.array_equal(x, x_gen.binomial(40, 0.35, 3000))
+        assert np.array_equal(y, y_gen.binomial(3_000_000, 0.35, 3000))
+        _use(_keyed_generator(SeedSpec(8)), prior)
+        ref = reference_normal_batch(2.5, 3000, self.SEED)
+        want = make_generator(self.SEED).normal(0.0, math.sqrt(2.5), size=3000)
+        assert np.array_equal(ref.values.view(np.uint64), want.view(np.uint64))
 
 
 class TestSimulateBatch:
