@@ -12,8 +12,7 @@ from .model import (
 from .sampling import (
     SampleBatch,
     SeedSpec,
-    draw_binomial,
-    make_generator,
+    draw_counts,
     reference_normal_batch,
     simulate_batch,
     standardized_statistic,
@@ -50,8 +49,7 @@ __all__ = [
     "variance_limit_consistency",
     "SampleBatch",
     "SeedSpec",
-    "draw_binomial",
-    "make_generator",
+    "draw_counts",
     "reference_normal_batch",
     "simulate_batch",
     "standardized_statistic",

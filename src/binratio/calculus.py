@@ -64,13 +64,19 @@ def eval_f(pt: Point2, r: float, s: float) -> float:
     return math.exp(eval_log_f(pt, r, s))
 
 
+def _scaled_gradient(f: float, x: float, y: float, r: float, s: float):
+    """Gradient of x^s/(x+y)^r at (x, y), rescaled so the value there reads ``f``.
+
+    ``f`` = f(x, y) gives the gradient itself, scale * f(x, y) the scaled one.
+    """
+    t = x + y
+    return f * (s * t - r * x) / (x * t), -f * r / t
+
+
 def gradient(pt: Point2, r: float, s: float) -> tuple[float, float]:
     """(df/dx, df/dy) = f * ((s(x+y) - r x) / (x(x+y)), -r / (x+y))."""
     _check_point(pt)
-    x, y = pt
-    f = eval_f(pt, r, s)
-    t = x + y
-    return f * (s * t - r * x) / (x * t), -f * r / t
+    return _scaled_gradient(eval_f(pt, r, s), pt.x, pt.y, r, s)
 
 
 def hessian(pt: Point2, r: float, s: float) -> Hessian2:
@@ -111,11 +117,9 @@ def _remainder_raw(
     x) can bypass the r, s > 0 contract of ModelParams.
     """
     x0, y0 = n * p, m * p
-    t0 = x0 + y0
-    log_f0 = s * math.log(x0) - r * math.log(t0)
+    log_f0 = s * math.log(x0) - r * math.log(x0 + y0)
     f0 = math.exp(log_f0)
-    gx = f0 * (s * t0 - r * x0) / (x0 * t0)
-    gy = -f0 * r / t0
+    gx, gy = _scaled_gradient(f0, x0, y0, r, s)
     dx, dy = x_obs - x0, y_obs - y0
     if x_obs > 0 and x_obs + y_obs > 0:
         # f(x, y) - f(x0, y0) via expm1 so nearby points do not cancel in f.
@@ -149,10 +153,8 @@ def scaled_remainder_samples(
 
     x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p
-    t0 = x0 + y0
     amp = math.exp(law.log_scale + law.log_center)  # scale * f(np, mp)
-    sgx = amp * (params.s * t0 - params.r * x0) / (x0 * t0)
-    sgy = -amp * params.r / t0
+    sgx, sgy = _scaled_gradient(amp, x0, y0, params.r, params.s)
     t_vals = standardized_statistic(x, y, law)
     return t_vals - (sgx * (x - x0) + sgy * (y - y0))
 

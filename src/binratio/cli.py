@@ -26,6 +26,7 @@ from .errors import BudgetError, ParameterError, RegimeError
 from .model import ModelParams, Regime, RegimeKind, limit_law
 from .oracle import SUPPORT_LIMIT, exact_distribution
 from .runner import (
+    DEFAULT_BOUND_SAMPLES,
     DEFAULT_SAMPLES,
     PRESET_NAMES,
     SweepSpec,
@@ -106,8 +107,7 @@ def _histogram_json(hist) -> dict:
 
 def _cmd_limit(args) -> None:
     params = _params_from(args)
-    regime = _parse_regime(args.regime, args.alpha).resolved(params)
-    law = limit_law(params, regime)
+    law = limit_law(params, _parse_regime(args.regime, args.alpha))
     payload = {
         "center": _fmt(law.center),
         "log_center": _fmt(law.log_center),
@@ -241,14 +241,13 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_oracle(args) -> None:
     params = _params_from(args)
-    standardize = args.regime is not None
-    regime = _parse_regime(args.regime, args.alpha) if standardize else None
-    dist = exact_distribution(params, standardize=standardize, regime=regime)
+    regime = None if args.regime is None else _parse_regime(args.regime, args.alpha)
+    dist = exact_distribution(params, regime)
     payload = {
         "mean": _fmt(dist.mean),
         "variance": _fmt(dist.variance),
         "probability_total": _fmt(dist.probability_total),
-        "standardized": standardize,
+        "standardized": regime is not None,
         "support_limit": SUPPORT_LIMIT,
     }
     if dist.values is not None:
@@ -316,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound = subs.add_parser("bound", help="remainder bound diagnostics; CSV")
     _add_model_args(p_bound)
     p_bound.add_argument("--regime", required=True)
-    p_bound.add_argument("--samples", type=int, default=10_000)
+    p_bound.add_argument("--samples", type=int, default=DEFAULT_BOUND_SAMPLES)
     p_bound.add_argument("--seed", type=int, default=0)
     p_bound.set_defaults(func=_cmd_bound)
 

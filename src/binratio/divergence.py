@@ -68,13 +68,6 @@ class Histogram:
             raise ParameterError("edges must be strictly increasing")
 
 
-def _lowest(ordered: np.ndarray):
-    # What ordered.min() gives: NaN when the sample holds one (np.sort puts
-    # NaN last), else the first value.
-    last = ordered[-1]
-    return last if math.isnan(last) else ordered[0]
-
-
 def common_bins(
     a_sorted: np.ndarray, b_sorted: np.ndarray, bin_count: int = DEFAULT_BIN_COUNT
 ) -> np.ndarray:
@@ -82,17 +75,21 @@ def common_bins(
 
     Both samples must already be in ``np.sort`` order (NaN last), as for
     ``np.searchsorted``: the order is not checked, and an unsorted sample
-    gives a wrong range. The range is read from the sorted ends, with each
-    sample's minimum and maximum NaN when it holds a NaN, pooled by Python's
-    ``min``/``max``. A degenerate pooled range (all values identical) widens
-    to +/- 1/2 around the common value. The edges come back read-only, so
+    gives a wrong range. The range is read from the sorted ends, where any
+    NaN or inf of a sample sits, so a non-finite value is rejected naming
+    its sample (``a`` simulated, ``b`` reference, as in ``compare_batches``).
+    A degenerate pooled range (all values identical) widens to +/- 1/2
+    around the common value. The edges come back read-only, so
     ``histogram`` can share them.
     """
     if len(a_sorted) == 0 or len(b_sorted) == 0:
         raise ParameterError("both samples must be nonempty")
     if bin_count < 2:
         raise ParameterError(f"bin_count must be >= 2, got {bin_count!r}")
-    lo = min(_lowest(a_sorted), _lowest(b_sorted))
+    for name, ordered in (("simulated", a_sorted), ("reference", b_sorted)):
+        if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+            raise ParameterError(f"{name} sample holds a non-finite value (NaN or inf)")
+    lo = min(a_sorted[0], b_sorted[0])
     hi = max(a_sorted[-1], b_sorted[-1])
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5

@@ -73,10 +73,9 @@ class RegimeKind(str, Enum):
 class Regime:
     """An asymptotic regime; BALANCED carries the ratio limit alpha = lim m/n.
 
-    For BALANCED, ``alpha=None`` means "resolve from the concrete sizes as
-    m/n" (done by the sweep runner); ``limit_law`` itself requires a concrete
-    positive alpha. Collapse is always an explicit user choice, never
-    inferred from finite sizes.
+    For BALANCED, ``alpha=None`` means "alpha is m/n of the concrete sizes",
+    which ``limit_law`` takes from its params. Collapse is always an
+    explicit user choice, never inferred from finite sizes.
     """
 
     kind: RegimeKind
@@ -108,12 +107,6 @@ class Regime:
     @classmethod
     def collapse(cls) -> "Regime":
         return cls(RegimeKind.COLLAPSE)
-
-    def resolved(self, params: ModelParams) -> "Regime":
-        """Fill in alpha = m/n for a BALANCED regime left unresolved."""
-        if self.kind is RegimeKind.BALANCED and self.alpha is None:
-            return Regime(RegimeKind.BALANCED, params.m / params.n)
-        return self
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,9 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
     n^(r-s+1/2) otherwise. The collapse regime has no Normal limit of its
     own: it keeps the n^(r-s+1/2) scaling (under which the statistic
     degenerates to a point mass at these growth rates) and borrows the
-    heavy-denominator variance formula as the comparison Normal.
+    heavy-denominator variance formula as the comparison Normal. A BALANCED
+    regime without alpha takes alpha = m/n, which must then be a positive
+    finite float.
     """
     n, m, p, s, r = params.n, params.m, params.p, params.s, params.r
     log_center = s * math.log(n) - r * math.log(n + m) + (s - r) * math.log(p)
@@ -189,10 +184,19 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
         log_scale = r * math.log(m) - (s - 0.5) * math.log(n)
         variance = heavy_denominator_variance(p, s, r)
     elif kind is RegimeKind.BALANCED:
-        if regime.alpha is None:
-            raise RegimeError("balanced regime requires a concrete alpha")
+        alpha = regime.alpha
+        if alpha is None:
+            try:
+                alpha = m / n
+            except OverflowError:
+                alpha = math.inf
+            if not 0 < alpha < math.inf:
+                raise ParameterError(
+                    f"balanced regime needs m/n positive and finite as a "
+                    f"float, got m/n = {alpha!r}"
+                )
         log_scale = (r - s + 0.5) * math.log(n)
-        variance = balanced_variance(p, s, r, regime.alpha)
+        variance = balanced_variance(p, s, r, alpha)
     elif kind is RegimeKind.LIGHT_DENOMINATOR:
         log_scale = (r - s + 0.5) * math.log(n)
         variance = light_denominator_variance(p, s, r)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import BudgetError, RegimeError
+from .errors import BudgetError
 from .model import LimitLaw, ModelParams, Regime, limit_law
 from .sampling import standardized_statistic
 
@@ -118,17 +118,10 @@ def _enumerate_moments(
 
 
 def exact_distribution(
-    params: ModelParams,
-    standardize: bool = False,
-    regime: Regime | None = None,
-    keep_support: bool = True,
+    params: ModelParams, regime: Regime | None = None, keep_support: bool = True
 ) -> ExactDistribution:
-    """Exact distribution of R, or of T when ``standardize`` is set."""
-    law = None
-    if standardize:
-        if regime is None:
-            raise RegimeError("standardization requires a regime")
-        law = limit_law(params, regime.resolved(params))
+    """Exact distribution of R, or of T under ``regime``'s law when one is given."""
+    law = None if regime is None else limit_law(params, regime)
     return _enumerate_moments(
         params.n, params.m, params.p, params.s, params.r, law, keep_support
     )
@@ -173,9 +166,9 @@ def exact_vs_theory_convergence(
             s=base_params.s,
             r=base_params.r,
         )
-        law = limit_law(params, regime.resolved(params))
-        dist = exact_distribution(
-            params, standardize=True, regime=regime, keep_support=False
+        law = limit_law(params, regime)
+        dist = _enumerate_moments(
+            params.n, params.m, params.p, params.s, params.r, law, keep_support=False
         )
         if law.variance > 0:
             rel = abs(dist.variance - law.variance) / law.variance

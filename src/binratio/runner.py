@@ -43,6 +43,7 @@ from .sampling import (
 )
 
 __all__ = [
+    "DEFAULT_BOUND_SAMPLES",
     "DEFAULT_SAMPLES",
     "SweepSpec",
     "SweepRow",
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 100_000
+DEFAULT_BOUND_SAMPLES = 10_000
 
 # Streams consumed per run: X draws, Y draws, Normal reference.
 _STREAMS_PER_RUN = 3
@@ -67,7 +69,7 @@ class SweepSpec:
 
     ``vary`` names the swept field of ModelParams ('p', 's', 'r', 'm', 'n');
     ``grid`` is the explicit list of values it takes. A BALANCED regime with
-    alpha=None re-resolves alpha = m/n at every grid point. ``direction``
+    alpha=None takes alpha = m/n at every grid point. ``direction``
     None means the regime-based default.
     """
 
@@ -127,7 +129,6 @@ def run_single(
 ) -> SingleRunResult:
     """Simulate one batch, draw the matched Normal reference, compare."""
     start = time.perf_counter()
-    regime = regime.resolved(params)
     law = limit_law(params, regime)
     collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
     direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
@@ -207,11 +208,10 @@ class BoundDiagnosticsRow:
 def run_bound_diagnostics(
     params: ModelParams,
     regime: Regime,
-    samples: int = 10_000,
+    samples: int = DEFAULT_BOUND_SAMPLES,
     seed: SeedSpec = SeedSpec(0),
 ) -> BoundDiagnosticsRow:
     """Analytic remainder bound next to empirical |scale * Q| quantiles."""
-    regime = regime.resolved(params)
     law = limit_law(params, regime)
     with thread_generator_scope():
         x, y = draw_counts(params, samples, seed)

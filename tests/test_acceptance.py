@@ -15,10 +15,9 @@ import numpy as np
 from binratio import (
     ModelParams,
     Regime,
-    draw_binomial,
+    draw_counts,
     exact_vs_theory_convergence,
     limit_law,
-    make_generator,
     standardized_statistic,
 )
 from binratio.calculus import (
@@ -32,7 +31,12 @@ from binratio.calculus import (
     spectral_norm_2x2,
 )
 from binratio.runner import preset, run_sweep
-from binratio.sampling import SeedSpec
+from binratio.sampling import (
+    SeedSpec,
+    draw_binomial,
+    make_generator,
+    thread_generator_scope,
+)
 from scipy.special import gammaln
 
 MASTER_SEED = 2  # fixed master seed for every acceptance run
@@ -184,10 +188,9 @@ def test_criterion_5_calculus_suite(capsys):
 
 
 def _remainder_p99(params, regime, seed):
-    regime = regime.resolved(params)
     law = limit_law(params, regime)
-    x = draw_binomial(params.n, params.p, make_generator(seed.substream(0)), 10**5)
-    y = draw_binomial(params.m, params.p, make_generator(seed.substream(1)), 10**5)
+    with thread_generator_scope():
+        x, y = draw_counts(params, 10**5, seed)
     samples = np.abs(scaled_remainder_samples(params, law, x, y))
     return float(np.quantile(samples, 0.99))
 

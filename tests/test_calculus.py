@@ -18,7 +18,12 @@ from binratio.calculus import (
     scaled_remainder_samples,
     spectral_norm_2x2,
 )
-from binratio.sampling import SeedSpec, draw_binomial, make_generator
+from binratio.sampling import (
+    SeedSpec,
+    draw_binomial,
+    make_generator,
+    standardized_statistic,
+)
 
 
 def fd_gradient(pt, r, s):
@@ -229,7 +234,7 @@ class TestScaledRemainderBound:
 class TestScaledRemainderSamples:
     def _p99(self, n, m, regime, samples=10_000, seed=123):
         params = ModelParams(n=n, m=m, p=0.5, s=15.0, r=15.0)
-        law = limit_law(params, regime.resolved(params))
+        law = limit_law(params, regime)
         x = draw_binomial(n, 0.5, make_generator(SeedSpec(seed, 0)), samples)
         y = draw_binomial(m, 0.5, make_generator(SeedSpec(seed, 1)), samples)
         sq = np.abs(scaled_remainder_samples(params, law, x, y))
@@ -246,3 +251,99 @@ class TestScaledRemainderSamples:
             params, law, np.array([50.0]), np.array([50.0])
         )
         assert sq[0] == pytest.approx(0.0, abs=1e-12)
+
+
+# The gradient of f as gradient, _remainder_raw and scaled_remainder_samples
+# each wrote it before they shared one helper; the shared form must give
+# the same bits.
+def reference_gradient(pt, r, s):
+    x, y = pt
+    f = eval_f(pt, r, s)
+    t = x + y
+    return f * (s * t - r * x) / (x * t), -f * r / t
+
+
+def reference_remainder_raw(n, m, p, r, s, x_obs, y_obs):
+    x0, y0 = n * p, m * p
+    t0 = x0 + y0
+    log_f0 = s * math.log(x0) - r * math.log(t0)
+    f0 = math.exp(log_f0)
+    gx = f0 * (s * t0 - r * x0) / (x0 * t0)
+    gy = -f0 * r / t0
+    dx, dy = x_obs - x0, y_obs - y0
+    if x_obs > 0 and x_obs + y_obs > 0:
+        delta = s * math.log(x_obs) - r * math.log(x_obs + y_obs) - log_f0
+        df = f0 * math.expm1(delta)
+    else:
+        df = -f0
+    return df - (gx * dx + gy * dy)
+
+
+def reference_scaled_remainder_samples(params, law, x, y):
+    x0, y0 = params.n * params.p, params.m * params.p
+    t0 = x0 + y0
+    amp = math.exp(law.log_scale + law.log_center)
+    sgx = amp * (params.s * t0 - params.r * x0) / (x0 * t0)
+    sgy = -amp * params.r / t0
+    t_vals = standardized_statistic(x, y, law)
+    return t_vals - (sgx * (x - x0) + sgy * (y - y0))
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def outcome(fn, *args):
+    """The result's float bits, or ParameterError (x = 0 or x + y = 0)."""
+    try:
+        return float_bits(fn(*args))
+    except ParameterError:
+        return ParameterError
+
+
+# (n, m, p, r, s): balanced, heavy and light denominators, equal and
+# unequal exponents, and an f(np, mp) far below 1
+SHARED_GRADIENT_GRID = [
+    (100, 300, 0.5, 1.0, 1.0),
+    (1000, 10, 0.3, 2.5, 4.0),
+    (10**6, 10**6, 0.5, 15.0, 15.0),
+    (7, 2 * 10**9, 0.9, 30.0, 0.5),
+]
+
+
+def observation_rows(n, m, p):
+    """Observed (x, y) rows around (np, mp), with x = 0 and x + y = 0 among them."""
+    x0, y0 = n * p, m * p
+    return [
+        (0.0, 0.0), (0.0, 1.0), (0.0, y0), (1.0, 0.0), (x0, 0.0), (x0, y0),
+        (x0 + 1.5, max(y0 - 2.0, 0.0)), (2 * x0, 3 * y0), (1.0, 1.0),
+    ]
+
+
+class TestSharedGradientMatchesReference:
+    @pytest.mark.parametrize("n, m, p, r, s", SHARED_GRADIENT_GRID)
+    def test_gradient_bits(self, n, m, p, r, s):
+        points = [Point2(n * p, m * p)]
+        points += [Point2(*row) for row in observation_rows(n, m, p)]
+        for pt in points:
+            want = outcome(reference_gradient, pt, r, s)
+            assert outcome(gradient, pt, r, s) == want, pt
+
+    @pytest.mark.parametrize("n, m, p, r, s", SHARED_GRADIENT_GRID)
+    def test_remainder_raw_bits(self, n, m, p, r, s):
+        for x_obs, y_obs in observation_rows(n, m, p):
+            args = (n, m, p, r, s, x_obs, y_obs)
+            want = float_bits(reference_remainder_raw(*args))
+            assert float_bits(_remainder_raw(*args)) == want, (x_obs, y_obs)
+
+    @pytest.mark.parametrize("regime", [
+        Regime.case_i(), Regime.case_ii(None), Regime.case_iii(), Regime.collapse(),
+    ], ids=lambda regime: regime.kind.value)
+    @pytest.mark.parametrize("n, m, p, r, s", SHARED_GRADIENT_GRID)
+    def test_scaled_remainder_samples_bits(self, n, m, p, r, s, regime):
+        params = ModelParams(n=n, m=m, p=p, s=s, r=r)
+        law = limit_law(params, regime)
+        x, y = (np.array(col) for col in zip(*observation_rows(n, m, p)))
+        got = scaled_remainder_samples(params, law, x, y)
+        want = reference_scaled_remainder_samples(params, law, x, y)
+        assert float_bits(got) == float_bits(want)

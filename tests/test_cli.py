@@ -95,6 +95,16 @@ class TestSimulate:
                 "--r", "1e300", "--regime", "case2", "--samples", "100"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
+    # numpy's overflow warnings are left to the finite-output work
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_statistic_exit_2(self, capsys):
+        # x^10000 overflows where x > np, and the statistic there is NaN
+        argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "10000",
+                "--r", "1", "--regime", "case3", "--samples", "200"]
+        assert_one_line_error(
+            *run_cli(argv, capsys), "simulated sample holds a non-finite value"
+        )
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
                 "--r", "1", "--regime", "case2", "--samples", "100",
@@ -270,6 +280,20 @@ def test_trial_counts_above_int64_exit_2(capsys, tmp_path, command, oversized):
         argv = [command, *(v for kv in sizes.items() for v in kv), "--p", "0.5",
                 "--s", "1", "--r", "1", "--regime", "case2", "--samples", "10"]
     assert_one_line_error(*run_cli(argv, capsys), "at most 2**63 - 1")
+
+
+@pytest.mark.parametrize("command", ["limit", "oracle", "simulate", "bound"])
+@pytest.mark.parametrize("n, m", [(1, 10**400), (10**400, 1)],
+                         ids=["m_over_n_overflows", "m_over_n_underflows"])
+def test_balanced_m_over_n_not_a_float_exit_2(capsys, command, n, m):
+    # case2 without --alpha takes alpha = m/n, which is no positive float here
+    argv = [command, "--n", str(n), "--m", str(m), "--p", "0.5", "--s", "1",
+            "--r", "1", "--regime", "case2"]
+    if command in ("simulate", "bound"):
+        argv += ["--samples", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_error(code, out, err, "m/n")
+    assert "alpha" not in err  # none was given
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -299,33 +298,35 @@ EQUIVALENCE_CASES = {
     "degenerate_pooled_range": (np.full(40, 3.0), np.full(40, 3.0)),
     "degenerate_zero_reference": (np.zeros(30), np.zeros(30)),
     "single_values": (np.array([2.0]), np.array([-1.0])),
-    "inf_in_simulated": (_with(_NORMAL, 7, np.inf), _NORMAL[::-1].copy()),
-    "minus_inf_in_reference": (_NORMAL, _with(_NORMAL, 3, -np.inf)),
-    "nan_in_simulated": (_with(_NORMAL, 11, np.nan), _NORMAL[::-1].copy()),
-    "nan_in_reference": (_NORMAL, _with(_NORMAL, 5, np.nan)),
+}
+
+# (simulated, reference, the sample the error names): a non-finite value
+# in either sample has no place in the pooled range
+NON_FINITE_CASES = {
+    "inf_in_simulated": (_with(_NORMAL, 7, np.inf), _NORMAL[::-1].copy(), "simulated"),
+    "minus_inf_in_reference": (_NORMAL, _with(_NORMAL, 3, -np.inf), "reference"),
+    "nan_in_simulated": (_with(_NORMAL, 11, np.nan), _NORMAL[::-1].copy(), "simulated"),
+    "nan_in_reference": (_NORMAL, _with(_NORMAL, 5, np.nan), "reference"),
     "nan_in_reference_outside_range": (
         np.linspace(-0.5, 0.5, 100),
         _with(_NORMAL, [0, 9], np.nan),
+        "reference",
     ),
-    "nan_in_both": (_with(_NORMAL, 2, np.nan), _with(_NORMAL, 4, np.nan)),
-    "all_nan_reference": (_NORMAL, np.full(20, np.nan)),
+    "nan_in_both": (_with(_NORMAL, 2, np.nan), _with(_NORMAL, 4, np.nan), "simulated"),
+    "all_nan_reference": (_NORMAL, np.full(20, np.nan), "reference"),
+    "inf_at_both_ends": (
+        _with(_NORMAL, [0, 1], [-np.inf, np.inf]), _NORMAL, "simulated",
+    ),
 }
 
 
-# linspace warns when it meets an infinite or NaN end, on both paths alike
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestSortOnceMatchesReference:
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("bin_count", [2, 7, 100])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_same_edges_bins_and_kl_or_same_error(self, case, bin_count, direction):
+    def test_same_edges_bins_and_kl(self, case, bin_count, direction):
         a, b = EQUIVALENCE_CASES[case]
-        try:
-            want = reference_compare(a, b, direction, bin_count)
-        except ParameterError as exc:
-            with pytest.raises(ParameterError, match=re.escape(str(exc))):
-                compare_batches(a, b, direction, bin_count)
-            return
+        want = reference_compare(a, b, direction, bin_count)
         got = compare_batches(a, b, direction, bin_count)
         assert got == want and got.bin_count == bin_count
         assert _bits(got.kl).tobytes() == _bits(want.kl).tobytes()
@@ -336,21 +337,13 @@ class TestSortOnceMatchesReference:
                 w.count, w.undercount, w.overcount
             )
 
-    def test_cases_cover_both_outcomes(self):
-        # NaN in the simulated sample makes every edge NaN and is rejected;
-        # NaN in the reference leaves the simulated range as the edges
-        outcomes = {}
-        for case, (a, b) in EQUIVALENCE_CASES.items():
-            try:
-                outcomes[case] = reference_compare(a, b, Direction.FORWARD, 10)
-            except ParameterError:
-                outcomes[case] = None
-        assert outcomes["nan_in_simulated"] is None
-        assert outcomes["inf_in_simulated"] is None
-        assert outcomes["nan_in_reference"] is not None
-        assert outcomes["nan_in_reference"].histograms[1].overcount == 1
-        edges = outcomes["nan_in_reference_outside_range"].histograms[0].edges
-        assert (edges[0], edges[-1]) == (-0.5, 0.5)
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_non_finite_value_names_its_sample(self, recwarn, case, direction):
+        a, b, culprit = NON_FINITE_CASES[case]
+        with pytest.raises(ParameterError, match=f"^{culprit} sample holds a non-finite"):
+            compare_batches(a, b, direction)
+        assert len(recwarn) == 0  # rejected before any edge is computed
 
     def test_histograms_share_one_edge_array(self):
         report = compare_batches(_NORMAL, _NORMAL[::-1].copy(), Direction.FORWARD)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from binratio import (
     variance_limit_consistency,
 )
 from binratio.model import balanced_variance, light_denominator_variance
+from binratio.runner import preset
 
 
 class TestModelParams:
@@ -56,15 +58,17 @@ class TestRegime:
         with pytest.raises(RegimeError):
             Regime(RegimeKind.HEAVY_DENOMINATOR, alpha=1.0)
 
-    def test_unresolved_alpha_resolves_to_ratio(self):
-        params = ModelParams(n=100, m=250, p=0.5, s=1.0, r=1.0)
-        regime = Regime.case_ii(None).resolved(params)
-        assert regime.alpha == pytest.approx(2.5)
-
-    def test_unresolved_alpha_rejected_by_limit_law(self):
-        params = ModelParams(n=100, m=250, p=0.5, s=1.0, r=1.0)
-        with pytest.raises(RegimeError):
-            limit_law(params, Regime.case_ii(None))
+    @pytest.mark.parametrize("params", [
+        ModelParams(n=250, m=100, p=0.3, s=2.0, r=1.5),
+        ModelParams(n=100, m=250, p=0.5, s=1.0, r=1.0),
+        preset("fig3a").base,
+    ], ids=["m_below_n", "m_above_n", "fig3_base"])
+    def test_limit_law_without_alpha_takes_m_over_n(self, params):
+        implicit = limit_law(params, Regime.case_ii(None))
+        explicit = limit_law(params, Regime.case_ii(params.m / params.n))
+        assert [v.hex() for v in astuple(implicit)] == [
+            v.hex() for v in astuple(explicit)
+        ]
 
 
 class TestLimitLaw:
@@ -103,7 +107,7 @@ class TestLimitLaw:
         params = ModelParams(n=40, m=60, p=0.5, s=2.0, r=1.0)
         regime = Regime.case_ii(1.5)
         law = limit_law(params, regime)
-        exact = exact_distribution(params, standardize=True, regime=regime)
+        exact = exact_distribution(params, regime)
         assert law.variance == pytest.approx(exact.variance, rel=0.25)
 
     def test_collapse_uses_heavy_denominator_variance(self):

@@ -103,15 +103,15 @@ class TestExactDistribution:
         big = ModelParams(n=400, m=600, p=0.5, s=2.0, r=1.0)
         law_small = limit_law(small, regime)
         law_big = limit_law(big, regime)
-        var_small = exact_distribution(small, standardize=True, regime=regime).variance
-        var_big = exact_distribution(big, standardize=True, regime=regime).variance
+        var_small = exact_distribution(small, regime).variance
+        var_big = exact_distribution(big, regime).variance
         assert var_small == pytest.approx(law_small.variance, rel=0.25)
         assert var_big == pytest.approx(law_big.variance, rel=0.05)
 
     def test_matches_monte_carlo(self):
         params = ModelParams(n=50, m=80, p=0.3, s=2.0, r=1.0)
         regime = Regime.case_ii(1.6)
-        dist = exact_distribution(params, standardize=True, regime=regime)
+        dist = exact_distribution(params, regime)
         batch = simulate_batch(params, limit_law(params, regime), 10**6, SeedSpec(77))
         stderr_mean = batch.values.std() / math.sqrt(len(batch.values))
         assert abs(batch.values.mean() - dist.mean) < 5 * stderr_mean
@@ -136,7 +136,7 @@ class TestConvergence:
         base = ModelParams(n=50, m=50, p=0.5, s=1.0, r=1.0)
         regime = Regime.case_ii(1.0)
         rows = exact_vs_theory_convergence(base, regime, [1])
-        direct = exact_distribution(base, standardize=True, regime=regime)
+        direct = exact_distribution(base, regime)
         assert rows[0].exact_variance == direct.variance
 
     def test_degenerate_law_reports_absolute_variance(self):
@@ -153,8 +153,7 @@ class TestConvergence:
         means = []
         for k in [1, 4, 16]:
             params = ModelParams(n=50 * k, m=50 * k, p=0.3, s=2.0, r=1.0)
-            dist = exact_distribution(params, standardize=True, regime=regime,
-                                      keep_support=False)
+            dist = exact_distribution(params, regime, keep_support=False)
             means.append(abs(dist.mean))
         assert means[0] > means[1] > means[2]
 
@@ -166,7 +165,7 @@ class TestOnePassEquivalence:
         law = None
         if regime is not None:
             params = ModelParams(n=n, m=m, p=p, s=s, r=r)
-            law = limit_law(params, regime.resolved(params))
+            law = limit_law(params, regime)
         got = _enumerate_moments(n, m, p, s, r, law, keep_support)
         want = two_pass_reference(n, m, p, s, r, law)
         assert_moments_close(got, want)

@@ -13,9 +13,7 @@ from binratio import (
     ParameterError,
     Regime,
     SeedSpec,
-    draw_binomial,
     limit_law,
-    make_generator,
     reference_normal_batch,
     simulate_batch,
     standardized_statistic,
@@ -23,7 +21,9 @@ from binratio import (
 from binratio.sampling import (
     MAX_TRIALS,
     _keyed_generator,
+    draw_binomial,
     draw_counts,
+    make_generator,
     thread_generator_scope,
 )
 
