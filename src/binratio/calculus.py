@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import LimitLaw, ModelParams, Regime, RegimeKind, limit_law
+from .sampling import standardized_statistic
 
 __all__ = [
     "Point2",
@@ -149,8 +150,6 @@ def scaled_remainder_samples(
     standardized statistic; both pieces are O(1) under the law's scaling even
     when f itself would overflow or underflow.
     """
-    from .sampling import standardized_statistic
-
     x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p
     amp = math.exp(law.log_scale + law.log_center)  # scale * f(np, mp)

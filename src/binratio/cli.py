@@ -35,7 +35,7 @@ from .runner import (
     run_single,
     run_sweep,
 )
-from .sampling import SeedSpec
+from .sampling import SeedSpec, thread_generator_scope
 
 SWEEP_CSV_HEADER = (
     "varied_param,varied_value,kl,direction,smoothed_bins,"
@@ -57,11 +57,7 @@ def _parse_regime(name: str, alpha: float | None) -> Regime:
             f"unknown regime {name!r}; choose from "
             f"{', '.join(k.value for k in RegimeKind)}"
         ) from None
-    if kind is RegimeKind.BALANCED:
-        return Regime.case_ii(alpha)
-    if alpha is not None:
-        raise RegimeError(f"--alpha only applies to regime {RegimeKind.BALANCED.value}")
-    return Regime(kind)
+    return Regime(kind, alpha)
 
 
 def _parse_direction(name: str) -> Direction | None:
@@ -241,6 +237,8 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_oracle(args) -> None:
     params = _params_from(args)
+    if args.regime is None and args.alpha is not None:
+        raise RegimeError(f"--alpha needs --regime {RegimeKind.BALANCED.value}")
     regime = None if args.regime is None else _parse_regime(args.regime, args.alpha)
     dist = exact_distribution(params, regime)
     payload = {
@@ -326,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with thread_generator_scope():
+            args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (``| head``): nothing is left to

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import BudgetError
 from .model import LimitLaw, ModelParams, Regime, limit_law
@@ -53,6 +52,8 @@ class ExactDistribution:
 
 
 def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    from scipy.special import gammaln  # only oracle runs pay for importing scipy
+
     return (
         gammaln(n + 1)
         - gammaln(k + 1)

@@ -39,7 +39,6 @@ from .sampling import (
     draw_counts,
     reference_normal_batch,
     simulate_batch,
-    thread_generator_scope,
 )
 
 __all__ = [
@@ -173,8 +172,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
     Every grid point's params are built, and so validated (trial counts
     included), once before any simulation starts, so an invalid point fails
-    fast. Results are independent of ``threads``. Each thread that runs
-    points draws from one generator, dropped when the sweep ends.
+    fast. Results are independent of ``threads``.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads!r}")
@@ -187,9 +185,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         for rep in range(spec.replicates_per_point)
     ]
     if threads == 1:
-        with thread_generator_scope():
-            return [_run_point(spec, *task) for task in tasks]
-    # Pool threads end with the pool, and their generators with them.
+        return [_run_point(spec, *task) for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_run_point, spec, *task) for task in tasks]
         return [f.result() for f in futures]
@@ -213,8 +209,7 @@ def run_bound_diagnostics(
 ) -> BoundDiagnosticsRow:
     """Analytic remainder bound next to empirical |scale * Q| quantiles."""
     law = limit_law(params, regime)
-    with thread_generator_scope():
-        x, y = draw_counts(params, samples, seed)
+    x, y = draw_counts(params, samples, seed)
     scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
     q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
     return BoundDiagnosticsRow(

@@ -14,9 +14,10 @@ Philox generator per thread, re-keyed for each stream: resetting the key,
 the counter and the output buffer through the bit generator's ``state``
 gives exactly the stream a fresh ``make_generator`` would, for a fraction
 of the cost of building one. ``make_generator`` builds a thread's
-generator at its first draw; the runner drops it when a sweep or a bound
-diagnostic ends (``thread_generator_scope``), so none outlives the run
-that drew from it.
+generator at its first draw. A CLI command drops it when the command ends;
+a library caller's thread keeps it until the thread ends or until a
+``thread_generator_scope`` that caller opened closes. Streams never depend
+on this, because every draw re-keys the generator first.
 
 Standardization reads the integer counts as drawn, with no float copies: it
 forms x + y and the two logs in float64 and does every later step in place,
@@ -112,9 +113,12 @@ def _keyed_generator(seed: SeedSpec) -> np.random.Generator:
 def thread_generator_scope():
     """Drop this thread's generator when the block exits.
 
-    Draws inside the block share one generator, built at the first of them;
-    the next draw after the block builds a new one. Streams do not depend on
-    the scope: every draw re-keys the generator first.
+    Each thread keeps one generator and re-keys it for every stream: draws
+    inside the block share the one built at the first of them, and the next
+    draw after the block builds a new one. A CLI command runs inside one
+    scope; a library caller's thread keeps its generator until the thread
+    ends or until a scope that caller opened closes. Streams never depend on
+    the scope, because every draw re-keys the generator first.
     """
     try:
         yield

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from binratio import sampling
 from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, main
 
 
@@ -294,6 +296,58 @@ def test_balanced_m_over_n_not_a_float_exit_2(capsys, command, n, m):
     code, out, err = run_cli(argv, capsys)
     assert_one_line_error(code, out, err, "m/n")
     assert "alpha" not in err  # none was given
+
+
+@pytest.mark.parametrize("command, regime, message", [
+    ("limit", ["--regime", "case1"], "regime case1 does not take alpha"),
+    ("oracle", [], "--alpha needs --regime case2"),
+], ids=["regime_without_alpha", "no_regime"])
+def test_alpha_that_would_be_ignored_exit_2(capsys, command, regime, message):
+    argv = [command, "--n", "4", "--m", "6", "--p", "0.5", "--s", "2", "--r", "1",
+            *regime, "--alpha", "3"]
+    assert_one_line_error(*run_cli(argv, capsys), message)
+
+
+GENERATOR_COMMANDS = [
+    ["simulate", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "2", "--r", "1",
+     "--regime", "case2", "--samples", "200"],
+    ["sweep", "--preset", "fig3c", "--samples", "200", "--threads", "1"],
+    ["sweep", "--preset", "fig3c", "--samples", "200", "--threads", "2"],
+    ["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "2", "--r", "1",
+     "--regime", "case2", "--samples", "200"],
+]
+
+
+def test_each_command_drops_its_generator(monkeypatch):
+    # a command builds its thread's generator once and drops it at its end;
+    # a sweep on two threads draws only on its pool threads
+    main_thread_builds = []
+    make = sampling.make_generator
+
+    def counting(seed):
+        if threading.current_thread() is threading.main_thread():
+            main_thread_builds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(sampling, "make_generator", counting)
+    for argv, builds in zip(GENERATOR_COMMANDS, [1, 1, 0, 1]):
+        main_thread_builds.clear()
+        assert main(argv) == 0
+        assert len(main_thread_builds) == builds, argv
+        assert getattr(sampling._thread, "generator", None) is None, argv
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (GENERATOR_COMMANDS[0], False),
+    (["oracle", "--n", "4", "--m", "6", "--p", "0.5", "--s", "2", "--r", "1"], True),
+], ids=["simulate", "oracle"])
+def test_scipy_loaded_only_by_the_oracle(argv, loads_scipy):
+    script = ("import sys\nfrom binratio.cli import main\nmain(sys.argv[1:])\n"
+              "print('scipy' in sys.modules, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0
+    assert result.stderr == f"{loads_scipy}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from binratio import (
 )
 from binratio import runner, sampling
 from binratio.runner import PRESET_NAMES, _point_seed, preset
-from binratio.sampling import SeedSpec
+from binratio.sampling import SeedSpec, thread_generator_scope
 
 
 BALANCED_PARAMS = ModelParams(n=10**5, m=10**5, p=0.5, s=2.0, r=1.0)
@@ -118,8 +121,9 @@ class TestRepeatedRunsInOneProcess:
 
 
 class TestGeneratorsBuilt:
-    # each thread builds one generator per sweep or bound diagnostic and
-    # re-keys it for every stream
+    # a thread builds one generator per scope and re-keys it for every
+    # stream; each test counts inside scopes it opens itself, so what an
+    # earlier test left on this thread does not change the count
     @pytest.fixture
     def built(self, monkeypatch):
         seeds = []
@@ -129,24 +133,42 @@ class TestGeneratorsBuilt:
             seeds.append(seed)
             return make(seed)
 
+        with thread_generator_scope():
+            pass  # drops any generator this thread still holds
         monkeypatch.setattr(sampling, "make_generator", counting)
         return seeds
 
     def test_one_per_serial_sweep(self, built):
         spec = small_spec(replicates_per_point=2)
-        run_sweep(spec)
+        with thread_generator_scope():
+            run_sweep(spec)
         assert len(built) == 1
-        run_sweep(spec)
+        with thread_generator_scope():
+            run_sweep(spec)
         assert len(built) == 2
 
     def test_at_most_one_per_pool_thread(self, built):
-        run_sweep(small_spec(replicates_per_point=2), threads=2)
+        with thread_generator_scope():
+            run_sweep(small_spec(replicates_per_point=2), threads=2)
         assert 1 <= len(built) <= 2
 
     def test_one_per_bound_diagnostic(self, built):
         for _ in range(2):
-            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(1.0), samples=100)
+            with thread_generator_scope():
+                run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(1.0), samples=100)
         assert len(built) == 2
+
+    def test_counts_hold_after_a_bare_run(self):
+        # a bare run_single leaves its thread a generator; this order once
+        # counted no build for the serial sweep
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestRunSingle::test_deterministic",
+             f"{__file__}::TestGeneratorsBuilt::test_one_per_serial_sweep"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout
+        assert "2 passed" in result.stdout
 
 
 class TestRunSweep:

@@ -7,8 +7,10 @@ Usage (from the root of a source checkout):
 Runs ``perfbench/run.py`` of the checkout (this one by default) for every
 workload in its ``BENCHMARK.json``, at seed 0 for the ``run_seconds`` that
 file sets, once with ``--trace 0`` (end-to-end metrics) and once with
-``--trace 1`` (per-layer metrics), one run at a time, and writes each run's
-result and provenance, as run.py prints them, to
+``--trace 1`` (per-layer metrics), one run at a time, then runs the
+checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``).
+It writes each run's result and provenance, as run.py prints them, and the
+tests' wall seconds, passed and failed counts and exit code to
 ``BENCH_<short-commit>.json`` at the root of this repository. A checkout
 whose tracked files differ from its HEAD is recorded as
 ``<short-commit>-<first 7 hex digits of src_sha256>``, the digest of the
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +59,19 @@ def run_workload(checkout: Path, workload: str, trace: int, seconds: float) -> d
     return {"provenance": provenance["provenance"], "result": result}
 
 
+def run_tier1(checkout: Path) -> dict:
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q"], cwd=checkout,
+        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+    )
+    wall_s = time.perf_counter() - start
+    summary = proc.stdout.strip().rsplit("\n", 1)[-1]  # "2 failed, 386 passed in 20.3s"
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall_s, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "exit_code": proc.returncode}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT)
@@ -67,9 +85,13 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"{workload} --trace {trace}: correct={run['result']['correct']}",
                   file=sys.stderr)
+    tier1 = run_tier1(checkout)
+    print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
+          f"in {tier1['wall_s']:.1f} s", file=sys.stderr)
     name = record_name(checkout, runs[0]["provenance"]["src_sha256"])
     path = ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps({"commit": name, "runs": runs}, indent=2) + "\n")
+    record = {"commit": name, "runs": runs, "tier1": tier1}
+    path.write_text(json.dumps(record, indent=2) + "\n")
     print(path)
     return 0
 
