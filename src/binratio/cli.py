@@ -15,6 +15,7 @@ All output is UTF-8 with LF line endings; floats carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,6 +272,7 @@ def _cmd_bound(args) -> None:
     _write("\n".join(lines) + "\n", args.out)
 
 
+@functools.cache  # parsing does not change the parser; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binratio",

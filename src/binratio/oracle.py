@@ -8,6 +8,13 @@ evaluating the pmf and the statistic once per outcome; each stratum's weight,
 first moment and centered second moment are combined in stratum order with
 fsum. Feasible only while (n+1)(m+1) stays within the enumeration budget;
 beyond that, Monte Carlo is the tool.
+
+Underflow rule: exp is skipped only for outcomes whose log-probability is
+below EXP_ZERO_BELOW, where it would return +0.0 anyway, so those outcomes
+weigh exactly +0.0 and every output is the same as with exp everywhere.
+Subnormal probabilities above that cut-off are computed and kept, never
+flushed to zero. Moments that are not finite (a statistic that overflows a
+float) raise ParameterError.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, ParameterError
 from .model import LimitLaw, ModelParams, Regime, limit_law
 from .sampling import standardized_statistic
 
@@ -33,6 +40,9 @@ __all__ = [
 ENUMERATION_BUDGET = 10**8
 SUPPORT_LIMIT = 10**6  # support arrays are elided above this many outcomes
 BLOCK_OUTCOMES = 2**14  # outcomes per enumeration block, so temporaries stay in cache
+# exp(x) is +0.0 for every x below ln(2**-1075) = -745.1332..., and numpy's
+# exp is many times slower there than in range; -746 leaves a margin below it.
+EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,9 @@ def _enumerate_moments(
     rows = max(1, BLOCK_OUTCOMES // (m + 1))
     for lo in range(0, n + 1, rows):
         hi = min(lo + rows, n + 1)
-        prob = np.exp(lpx[lo:hi, None] + lpy[None, :])
+        arg = lpx[lo:hi, None] + lpy[None, :]
+        prob = np.zeros_like(arg)
+        np.exp(arg, out=prob, where=~(arg < EXP_ZERO_BELOW))  # NaN goes through exp
         if law is None:
             t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
             t[t == 0] = 1.0
@@ -109,6 +121,12 @@ def _enumerate_moments(
     total = math.fsum(w)
     mean = math.fsum(pv)
     variance = math.fsum(m2 + w * (mu - mean) ** 2)
+    if not all(map(math.isfinite, (mean, variance, total))):
+        raise ParameterError(
+            f"exact moments are not finite at n={n}, m={m}, p={p!r}, s={s!r}, "
+            f"r={r!r}: mean {mean!r}, variance {variance!r}, "
+            f"probability total {total!r}"
+        )
     return ExactDistribution(
         values=sup_v,
         probabilities=sup_p,

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from binratio import sampling
-from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, main
+from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, _build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -248,6 +248,14 @@ class TestOracle:
                 "--r", "1e300", "--regime", "case2"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
+    # numpy's overflow warnings are left to the finite-output work
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moments_exit_2(self, capsys):
+        # x^1e300 overflows for every x >= 2, so the mean is inf and the variance NaN
+        argv = ["oracle", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1e300",
+                "--r", "1"]
+        assert_one_line_error(*run_cli(argv, capsys), "exact moments are not finite")
+
 
 class TestBound:
     def test_csv_row(self, capsys):
@@ -306,6 +314,33 @@ def test_alpha_that_would_be_ignored_exit_2(capsys, command, regime, message):
     argv = [command, "--n", "4", "--m", "6", "--p", "0.5", "--s", "2", "--r", "1",
             *regime, "--alpha", "3"]
     assert_one_line_error(*run_cli(argv, capsys), message)
+
+
+SHARED_PARSER_COMMANDS = [
+    ["limit", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2", "--r", "1",
+     "--regime", "case2"],
+    ["oracle", "--n", "4", "--m", "6", "--p", "0.5", "--s", "2", "--r", "1"],
+    ["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "2", "--r", "1",
+     "--regime", "case2", "--samples", "200"],
+]
+
+
+def test_one_parser_serves_every_command(capsys):
+    # each command alone, on a freshly built parser
+    alone = []
+    for argv in SHARED_PARSER_COMMANDS:
+        _build_parser.cache_clear()
+        alone.append(run_cli(argv, capsys))
+    # then all of them on one parser, after it has rejected an argument list
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--n", "forty"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    shared = [run_cli(argv, capsys) for argv in SHARED_PARSER_COMMANDS]
+    assert _build_parser.cache_info().misses == 1
+    assert shared == alone
+    assert all(code == 0 for code, _, _ in shared)
 
 
 GENERATOR_COMMANDS = [

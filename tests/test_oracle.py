@@ -8,6 +8,7 @@ import pytest
 from binratio import (
     BudgetError,
     ModelParams,
+    ParameterError,
     Regime,
     exact_distribution,
     exact_vs_theory_convergence,
@@ -16,6 +17,8 @@ from binratio import (
 )
 from binratio.oracle import (
     BLOCK_OUTCOMES,
+    EXP_ZERO_BELOW,
+    SUPPORT_LIMIT,
     ExactDistribution,
     _enumerate_moments,
     _exact_distribution_raw,
@@ -60,6 +63,48 @@ def two_pass_reference(n, m, p, s, r, law):
         mean=mean,
         variance=math.fsum(var_terms),
         probability_total=math.fsum(prob_sums),
+    )
+
+
+def full_exp_reference(n, m, p, s, r, law, keep_support):
+    """The blocked enumeration as it was before exp skipped outcomes it rounds to 0."""
+    outcomes = (n + 1) * (m + 1)
+    xs = np.arange(n + 1)
+    ys = np.arange(m + 1)
+    lpx = _log_binom_pmf(xs, n, p)
+    lpy = _log_binom_pmf(ys, m, p)
+    if law is None:
+        s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
+    keep = keep_support and outcomes <= SUPPORT_LIMIT
+    sup_v = np.empty(outcomes) if keep else None
+    sup_p = np.empty(outcomes) if keep else None
+    w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))
+    rows = max(1, BLOCK_OUTCOMES // (m + 1))
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        prob = np.exp(lpx[lo:hi, None] + lpy[None, :])
+        if law is None:
+            t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
+            t[t == 0] = 1.0
+            val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
+        else:
+            val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
+        w[lo:hi] = prob.sum(axis=1)
+        pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
+        np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
+        m2[lo:hi] = np.einsum("ij,ij->i", prob, (val - mu[lo:hi, None]) ** 2)
+        if keep:
+            sup_v[lo * (m + 1):hi * (m + 1)] = val.ravel()
+            sup_p[lo * (m + 1):hi * (m + 1)] = prob.ravel()
+    total = math.fsum(w)
+    mean = math.fsum(pv)
+    variance = math.fsum(m2 + w * (mu - mean) ** 2)
+    return ExactDistribution(
+        values=sup_v,
+        probabilities=sup_p,
+        mean=mean,
+        variance=variance,
+        probability_total=total,
     )
 
 
@@ -118,6 +163,12 @@ class TestExactDistribution:
         # variance stderr ~ var * sqrt(2/N) for near-Normal samples
         stderr_var = dist.variance * math.sqrt(2 / len(batch.values))
         assert abs(batch.values.var() - dist.variance) < 5 * stderr_var
+
+    def test_non_finite_moments_raise(self, recwarn):
+        # x^1e300 overflows for every x >= 2
+        params = ModelParams(n=10, m=10, p=0.5, s=1e300, r=1.0)
+        with pytest.raises(ParameterError, match="exact moments are not finite"):
+            exact_distribution(params)
 
     def test_budget_exceeded(self):
         params = ModelParams(n=20_000, m=20_000, p=0.5, s=1.0, r=1.0)
@@ -204,3 +255,43 @@ class TestOnePassEquivalence:
         got = self.check(30, 20, 0.3, 1.0, 0.0)
         assert got.mean == pytest.approx(30 * 0.3, rel=1e-12)
         assert got.variance == pytest.approx(30 * 0.3 * 0.7, rel=1e-12)
+
+
+class TestSkippedExp:
+    """exp is skipped only where it would return +0.0, so nothing changes."""
+
+    def test_threshold_is_below_every_nonzero_exp(self):
+        grid = np.concatenate([
+            np.linspace(-1e4, EXP_ZERO_BELOW, 10**6),
+            EXP_ZERO_BELOW - np.arange(10**4) * np.spacing(EXP_ZERO_BELOW),
+            [-math.inf],
+        ])
+        assert np.all(np.exp(grid).view(np.uint64) == 0)  # +0.0, never -0.0
+        assert np.isnan(np.exp(np.nan))
+        assert np.exp(-745.0) > 0  # a subnormal result above the cut-off is kept
+
+    @pytest.mark.parametrize("n, m, p, r, regime, keep_support", [
+        (1600, 2400, 0.5, 1.0, Regime.case_ii(None), False),
+        (3000, 2000, 0.999, 1.0, Regime.case_ii(None), False),
+        (3000, 2000, 1e-6, 1.0, Regime.case_ii(None), False),
+        (700, 800, 0.5, 1.0, Regime.case_ii(None), True),
+        (700, 800, 0.5, 1.0, None, True),
+        (1500, 600, 0.5, 0.0, None, True),  # r = 0: the raw path, R = X^s
+    ])
+    def test_bitwise_equal_to_full_exp(self, n, m, p, r, regime, keep_support):
+        s = 2.0
+        lpx = _log_binom_pmf(np.arange(n + 1), n, p)
+        lpy = _log_binom_pmf(np.arange(m + 1), m, p)
+        assert lpx.min() + lpy.min() < EXP_ZERO_BELOW  # some outcomes skip exp
+        law = None
+        if regime is not None:
+            law = limit_law(ModelParams(n=n, m=m, p=p, s=s, r=r), regime)
+        got = _enumerate_moments(n, m, p, s, r, law, keep_support)
+        want = full_exp_reference(n, m, p, s, r, law, keep_support)
+        for key in ("mean", "variance", "probability_total"):
+            assert getattr(got, key) == getattr(want, key), key
+        if keep_support:
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        else:
+            assert got.values is None and want.values is None

@@ -8,13 +8,15 @@ Runs ``perfbench/run.py`` of the checkout (this one by default) for every
 workload in its ``BENCHMARK.json``, at seed 0 for the ``run_seconds`` that
 file sets, once with ``--trace 0`` (end-to-end metrics) and once with
 ``--trace 1`` (per-layer metrics), one run at a time, then runs the
-checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``).
-It writes each run's result and provenance, as run.py prints them, and the
-tests' wall seconds, passed and failed counts and exit code to
-``BENCH_<short-commit>.json`` at the root of this repository. A checkout
-whose tracked files differ from its HEAD is recorded as
-``<short-commit>-<first 7 hex digits of src_sha256>``, the digest of the
-sources it measured, so records of different uncommitted trees on one
+checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``),
+then times the checkout's ``oracle`` command at the sizes of
+``ORACLE_SIZES`` (three runs each, median kept, in one interpreter warmed by a
+tiny oracle first). It writes each run's result and provenance, as run.py
+prints them, the tests' wall seconds, passed and failed counts and exit code,
+and the oracle wall seconds to ``BENCH_<short-commit>.json`` at the root of
+this repository. A checkout whose tracked files differ from its HEAD is
+recorded as ``<short-commit>-<first 7 hex digits of src_sha256>``, the digest
+of the sources it measured, so records of different uncommitted trees on one
 commit keep apart.
 """
 
@@ -30,6 +32,33 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# (640, 960) prints its support, so JSON formatting bounds it; the other two
+# are above the support limit and print moments only.
+ORACLE_SIZES = ((640, 960), (1600, 2400), (5000, 5000))
+ORACLE_RUNS = 3
+
+_ORACLE_TIMER = """\
+import json, os, statistics, sys, time
+sys.path.insert(0, "src")
+from binratio.cli import main
+
+def oracle(n, m):
+    argv = ["oracle", "--n", str(n), "--m", str(m), "--p", "0.5", "--s", "2",
+            "--r", "1", "--regime", "case2", "--out", os.devnull]
+    start = time.perf_counter()
+    if main(argv) != 0:
+        sys.exit(f"oracle at ({n}, {m}) failed")
+    return time.perf_counter() - start
+
+oracle(16, 24)
+sizes, runs = json.loads(sys.argv[1]), int(sys.argv[2])
+rows = []
+for n, m in sizes:
+    times = [oracle(n, m) for _ in range(runs)]
+    rows.append({"n": n, "m": m, "outcomes": (n + 1) * (m + 1),
+                 "runs_s": times, "median_s": statistics.median(times)})
+print(json.dumps(rows))
+"""
 
 
 def _git(checkout: Path, *args: str) -> subprocess.CompletedProcess:
@@ -72,6 +101,18 @@ def run_tier1(checkout: Path) -> dict:
             "failed": counts.get("failed", 0), "exit_code": proc.returncode}
 
 
+def run_oracle_scaling(checkout: Path) -> list[dict]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_TIMER, json.dumps(ORACLE_SIZES),
+         str(ORACLE_RUNS)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"error: oracle scaling exited {proc.returncode}:\n"
+                         f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT)
@@ -88,9 +129,14 @@ def main(argv=None) -> int:
     tier1 = run_tier1(checkout)
     print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
           f"in {tier1['wall_s']:.1f} s", file=sys.stderr)
+    oracle_scaling = run_oracle_scaling(checkout)
+    for row in oracle_scaling:
+        print(f"oracle ({row['n']}, {row['m']}): {row['median_s']:.3f} s",
+              file=sys.stderr)
     name = record_name(checkout, runs[0]["provenance"]["src_sha256"])
     path = ROOT / f"BENCH_{name}.json"
-    record = {"commit": name, "runs": runs, "tier1": tier1}
+    record = {"commit": name, "runs": runs, "tier1": tier1,
+              "oracle_scaling": oracle_scaling}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(path)
     return 0
