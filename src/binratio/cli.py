@@ -98,8 +98,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _histogram_json(hist) -> dict:
-    return {"edges": [_fmt(e) for e in hist.edges],
-            "mass": [_fmt(v) for v in hist.mass]}
+    return {"edges": [_fmt(e) for e in hist.edges.tolist()],
+            "mass": [_fmt(v) for v in hist.mass.tolist()]}
 
 
 def _cmd_limit(args) -> None:
@@ -250,8 +250,9 @@ def _cmd_oracle(args) -> None:
         "support_limit": SUPPORT_LIMIT,
     }
     if dist.values is not None:
-        payload["support"] = [
-            [_fmt(v), _fmt(p)] for v, p in zip(dist.values, dist.probabilities)
+        payload["support"] = [  # Python floats format faster than numpy scalars
+            [_fmt(v), _fmt(p)]
+            for v, p in zip(dist.values.tolist(), dist.probabilities.tolist())
         ]
     _write(json.dumps(payload, indent=2) + "\n", args.out)
 
@@ -265,7 +266,7 @@ def _cmd_bound(args) -> None:
     lines = [
         BOUND_CSV_HEADER,
         ",".join(
-            [str(row.n), str(row.m), _fmt(row.bound),
+            [str(params.n), str(params.m), _fmt(row.bound),
              _fmt(row.q50), _fmt(row.q99), _fmt(row.q100)]
         ),
     ]

@@ -3,11 +3,10 @@
 Both samples are histogrammed on equal-width bins spanning their pooled
 range, then compared with the discrete KL divergence. ``compare_batches``
 sorts each sample once; the pooled range comes from the sorted ends
-(``common_bins``) and every bin boundary, with the counts below and above
-the edges, from one binary search of the same sorted values
-(``histogram``). The functions take plain arrays; ``common_bins`` and
-``histogram`` take them already sorted and, like ``np.searchsorted``, do
-not check the order. When the simulated
+(``common_bins``) and every bin boundary from one binary search of the same
+sorted values (``histogram``). The functions take plain arrays;
+``common_bins`` and ``histogram`` take them already sorted and, like
+``np.searchsorted``, do not check the order. When the simulated
 statistic degenerates (all draws in one bin), the forward divergence is
 uninformative and the reversed direction is used instead. Every comparison
 names its direction; the runner, which holds the regime, picks reversed for
@@ -46,21 +45,15 @@ class Direction(str, Enum):
 class Histogram:
     """Binned empirical distribution on shared edges.
 
-    ``mass`` is normalized by the source sample size ``count``; values
-    outside [edges[0], edges[-1]] land in undercount/overcount (zero when
-    the edges came from ``common_bins`` over the same data). ``histogram``
-    reads both counts from the same search of the sorted sample that yields
-    the bins, so they cost no extra pass.
+    ``mass`` is normalized by the source sample size ``count`` and is
+    read-only; ``edges`` are held as given.
     """
 
     edges: np.ndarray
     mass: np.ndarray
     count: int
-    undercount: int
-    overcount: int
 
     def __post_init__(self) -> None:
-        self.edges.flags.writeable = False
         self.mass.flags.writeable = False
         if len(self.edges) != len(self.mass) + 1:
             raise ParameterError("need len(edges) == len(mass) + 1")
@@ -79,8 +72,8 @@ def common_bins(
     NaN or inf of a sample sits, so a non-finite value is rejected naming
     its sample (``a`` simulated, ``b`` reference, as in ``compare_batches``).
     A degenerate pooled range (all values identical) widens to +/- 1/2
-    around the common value. The edges come back read-only, so
-    ``histogram`` can share them.
+    around the common value. The edges come back read-only, because every
+    histogram binned on them holds this one array.
     """
     if len(a_sorted) == 0 or len(b_sorted) == 0:
         raise ParameterError("both samples must be nonempty")
@@ -105,26 +98,17 @@ def histogram(ordered: np.ndarray, edges: np.ndarray) -> Histogram:
     ``np.searchsorted``: the order is not checked, and an unsorted sample
     gives wrong counts. One binary search per edge: ``cum[i]`` is the number
     of values below ``edges[i]``, except that the last entry also takes the
-    values equal to ``edges[-1]``. Bin counts are the differences; the count
-    below the first edge and above the last fall out of the ends. Same
-    counts as ``np.histogram`` on these edges; a NaN value sorts above every
-    edge and so counts as over. Read-only float64 edges (as ``common_bins``
-    returns) are held as given, so histograms binned on them share one
-    array; writable edges are copied, and the caller's array stays writable.
+    values equal to ``edges[-1]``. Bin counts are the differences: the same
+    counts as ``np.histogram`` on these edges, so a value outside them (NaN
+    included) is in no bin. Float64 edges are held as
+    given, so histograms binned on the edges of one ``common_bins`` call
+    share one array.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    if edges.flags.writeable:
-        edges = edges.copy()
     count = len(ordered)
     cum = ordered.searchsorted(edges)
     cum[-1] = ordered.searchsorted(edges[-1], side="right")
-    return Histogram(
-        edges=edges,
-        mass=(cum[1:] - cum[:-1]) / count,
-        count=count,
-        undercount=int(cum[0]),
-        overcount=count - int(cum[-1]),
-    )
+    return Histogram(edges=edges, mass=(cum[1:] - cum[:-1]) / count, count=count)
 
 
 @dataclass(frozen=True)

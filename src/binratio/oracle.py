@@ -100,27 +100,30 @@ def _enumerate_moments(
     sup_p = np.empty(outcomes) if keep else None
     w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))  # mu = 0 where w = 0
     rows = max(1, BLOCK_OUTCOMES // (m + 1))
-    for lo in range(0, n + 1, rows):
-        hi = min(lo + rows, n + 1)
-        arg = lpx[lo:hi, None] + lpy[None, :]
-        prob = np.zeros_like(arg)
-        np.exp(arg, out=prob, where=~(arg < EXP_ZERO_BELOW))  # NaN goes through exp
-        if law is None:
-            t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
-            t[t == 0] = 1.0
-            val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
-        else:
-            val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
-        w[lo:hi] = prob.sum(axis=1)
-        pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
-        np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
-        m2[lo:hi] = np.einsum("ij,ij->i", prob, (val - mu[lo:hi, None]) ** 2)
-        if keep:
-            sup_v[lo * (m + 1):hi * (m + 1)] = val.ravel()
-            sup_p[lo * (m + 1):hi * (m + 1)] = prob.ravel()
-    total = math.fsum(w)
-    mean = math.fsum(pv)
-    variance = math.fsum(m2 + w * (mu - mean) ** 2)
+    # beyond float range the moments are inf or NaN, unwarned: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n + 1, rows):
+            hi = min(lo + rows, n + 1)
+            arg = lpx[lo:hi, None] + lpy[None, :]
+            prob = np.zeros_like(arg)
+            # NaN goes through exp
+            np.exp(arg, out=prob, where=~(arg < EXP_ZERO_BELOW))
+            if law is None:
+                t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
+                t[t == 0] = 1.0
+                val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
+            else:
+                val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
+            w[lo:hi] = prob.sum(axis=1)
+            pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
+            np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
+            m2[lo:hi] = np.einsum("ij,ij->i", prob, (val - mu[lo:hi, None]) ** 2)
+            if keep:
+                sup_v[lo * (m + 1):hi * (m + 1)] = val.ravel()
+                sup_p[lo * (m + 1):hi * (m + 1)] = prob.ravel()
+        total = math.fsum(w)
+        mean = math.fsum(pv)
+        variance = math.fsum(m2 + w * (mu - mean) ** 2)
     if not all(map(math.isfinite, (mean, variance, total))):
         raise ParameterError(
             f"exact moments are not finite at n={n}, m={m}, p={p!r}, s={s!r}, "

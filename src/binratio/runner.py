@@ -69,7 +69,8 @@ class SweepSpec:
     ``vary`` names the swept field of ModelParams ('p', 's', 'r', 'm', 'n');
     ``grid`` is the explicit list of values it takes. A BALANCED regime with
     alpha=None takes alpha = m/n at every grid point. ``direction``
-    None means the regime-based default.
+    None means the regime-based default. Every setting is checked here, so
+    an invalid one fails before any draw.
     """
 
     base: ModelParams
@@ -89,6 +90,11 @@ class SweepSpec:
             raise ParameterError("grid must be nonempty")
         if self.replicates_per_point < 1:
             raise ParameterError("replicates_per_point must be >= 1")
+        if self.samples < 1:
+            raise ParameterError(f"samples must be >= 1, got {self.samples!r}")
+        if self.bins < 2:
+            raise ParameterError(f"bins must be >= 2, got {self.bins!r}")
+        SeedSpec(self.master_seed)
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def params_at(self, value) -> ModelParams:
@@ -111,11 +117,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SingleRunResult:
+    """One run: the KL report, the simulated draws and the Normal reference array."""
+
     report: DivergenceReport
     simulated: SampleBatch
-    reference: SampleBatch
+    reference: np.ndarray
     wall_time_ms: float
-    seed: SeedSpec
 
 
 def run_single(
@@ -133,10 +140,10 @@ def run_single(
     direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
     sim = simulate_batch(params, law, samples, seed)
     ref = reference_normal_batch(law.variance, samples, seed.substream(2))
-    report = compare_batches(sim.values, ref.values, direction, bins)
+    report = compare_batches(sim.values, ref, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(
-        report=report, simulated=sim, reference=ref, wall_time_ms=elapsed, seed=seed
+        report=report, simulated=sim, reference=ref, wall_time_ms=elapsed
     )
 
 
@@ -193,8 +200,6 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class BoundDiagnosticsRow:
-    n: int
-    m: int
     bound: float
     q50: float
     q99: float
@@ -207,19 +212,23 @@ def run_bound_diagnostics(
     samples: int = DEFAULT_BOUND_SAMPLES,
     seed: SeedSpec = SeedSpec(0),
 ) -> BoundDiagnosticsRow:
-    """Analytic remainder bound next to empirical |scale * Q| quantiles."""
+    """Analytic remainder bound next to empirical |scale * Q| quantiles.
+
+    A bound or quantile that is not finite is a ParameterError.
+    """
     law = limit_law(params, regime)
     x, y = draw_counts(params, samples, seed)
     scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
     q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
-    return BoundDiagnosticsRow(
-        n=params.n,
-        m=params.m,
+    row = BoundDiagnosticsRow(
         bound=scaled_remainder_bound(params, regime, law),
         q50=float(q50),
         q99=float(q99),
         q100=float(scaled_q.max()),
     )
+    if not all(map(math.isfinite, (row.bound, row.q50, row.q99, row.q100))):
+        raise ParameterError(f"bound diagnostics are not finite at {params}: {row}")
+    return row
 
 
 # ---------------------------------------------------------------------------

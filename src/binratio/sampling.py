@@ -163,7 +163,7 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Read-only draws plus their degeneracy counts; no model or regime.
+    """Read-only simulated draws plus their degeneracy counts; no model or regime.
 
     ``zero_numerator_count`` counts draws with x = 0 and
     ``zero_denominator_count`` those with x + y = 0; the batch size is
@@ -212,21 +212,23 @@ def standardized_statistic(x, y, law: LimitLaw):
     masked = not (x_arr.size and y_arr.size and x_arr.min() > 0 and y_arr.min() >= 0)
     if masked and (np.any(x_arr < 0) or np.any(y_arr < 0)):
         raise ParameterError("counts must be nonnegative")
-    out = np.add(x_arr, y_arr, dtype=np.float64)
-    if masked:
-        np.copyto(out, 1.0, where=~(out > 0))
-        x_pos = x_arr > 0
-        x_arr = np.where(x_pos, x_arr, 1)
-    np.log(out, out=out)
-    out *= law.r
-    delta = np.log(x_arr, dtype=np.float64)
-    delta *= law.s
-    np.subtract(delta, out, out=out)
-    out -= law.log_center
-    np.expm1(out, out=out)
-    if masked:
-        np.copyto(out, -1.0, where=~x_pos)
-    out *= amp
+    # beyond float range T is inf or NaN, unwarned: every caller rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add(x_arr, y_arr, dtype=np.float64)
+        if masked:
+            np.copyto(out, 1.0, where=~(out > 0))
+            x_pos = x_arr > 0
+            x_arr = np.where(x_pos, x_arr, 1)
+        np.log(out, out=out)
+        out *= law.r
+        delta = np.log(x_arr, dtype=np.float64)
+        delta *= law.s
+        np.subtract(delta, out, out=out)
+        out -= law.log_center
+        np.expm1(out, out=out)
+        if masked:
+            np.copyto(out, -1.0, where=~x_pos)
+        out *= amp
     return float(out[0]) if scalar else out
 
 
@@ -249,15 +251,12 @@ def simulate_batch(
     )
 
 
-def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> SampleBatch:
-    """iid N(0, variance) draws from ``seed``; variance = 0 gives all zeros."""
+def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> np.ndarray:
+    """``count`` iid N(0, variance) float64 draws from ``seed``; zeros at variance 0."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
     if not (variance >= 0 and math.isfinite(variance)):
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:
-        values = np.zeros(count)
-    else:
-        gen = _keyed_generator(seed)
-        values = gen.normal(0.0, math.sqrt(variance), size=count)
-    return SampleBatch(values=values, zero_numerator_count=0, zero_denominator_count=0)
+        return np.zeros(count)
+    return _keyed_generator(seed).normal(0.0, math.sqrt(variance), size=count)

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from binratio import sampling
+from binratio import runner, sampling
 from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, _build_parser, main
 
 
@@ -97,8 +97,6 @@ class TestSimulate:
                 "--r", "1e300", "--regime", "case2", "--samples", "100"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
-    # numpy's overflow warnings are left to the finite-output work
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_statistic_exit_2(self, capsys):
         # x^10000 overflows where x > np, and the statistic there is NaN
         argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "10000",
@@ -248,8 +246,6 @@ class TestOracle:
                 "--r", "1e300", "--regime", "case2"]
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
-    # numpy's overflow warnings are left to the finite-output work
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_moments_exit_2(self, capsys):
         # x^1e300 overflows for every x >= 2, so the mean is inf and the variance NaN
         argv = ["oracle", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1e300",
@@ -405,6 +401,44 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+NON_FINITE_SPEC = {
+    "base": {"n": 100, "m": 100, "p": 0.5, "s": 10000, "r": 1},
+    "regime": {"kind": "case3"}, "vary": "r", "grid": [1, 2], "samples": 200,
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "1e10", "--r", "1",
+      "--regime", "case2"], "bound diagnostics are not finite"),
+    (["oracle", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1e300", "--r", "1"],
+     "exact moments are not finite"),
+    (["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "10000", "--r",
+      "1", "--regime", "case3", "--samples", "200"],
+     "simulated sample holds a non-finite value"),
+    (["sweep", "--spec", "SPEC", "--threads", "2"],
+     "simulated sample holds a non-finite value"),
+], ids=["bound", "oracle", "simulate", "sweep_threads_2"])
+def test_non_finite_result_one_stderr_line(argv, message, tmp_path):
+    # a subprocess, so that numpy warnings reach stderr as they do outside pytest
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(NON_FINITE_SPEC), encoding="utf-8")
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    result = subprocess.run([sys.executable, "-m", "binratio.cli", *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
+def test_invalid_sweep_setting_fails_before_any_run(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
+    argv = ["sweep", "--preset", "fig3c", "--bins", "1", "--threads", "2"]
+    assert_one_line_error(*run_cli(argv, capsys), "bins must be >= 2")
+    assert ran == []
 
 
 def test_console_entry_point():

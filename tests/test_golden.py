@@ -2,7 +2,9 @@
 
 The hash covers the CSV with the ``wall_time_ms`` column removed, so it pins
 the draws (``Generator.binomial`` and ``Generator.normal`` streams), the
-standardization, the binning and the KL bit for bit. numpy may change its
+standardization, the binning and the KL bit for bit. Two ``simulate``
+reports, and one output each of ``limit``, ``oracle`` (standardized and raw,
+support printed) and ``bound``, are pinned the same way. numpy may change its
 streams between versions (NEP 19); when it does, this test fails for every
 preset instead of letting "bitwise reproducible" results drift silently.
 
@@ -61,6 +63,25 @@ def simulate_digest(case: str, out_file: Path) -> str:
     return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
 
 
+# limit, oracle and bound outputs, pinned whole (they carry no timing)
+COMMAND_ARGV = {
+    "limit_case3": ["limit", "--n", "1100000000", "--m", "3800000", "--p", "0.5",
+                    "--s", "16", "--r", "15", "--regime", "case3"],
+    "oracle_case2": ["oracle", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2",
+                     "--r", "1", "--regime", "case2"],
+    "oracle_raw": ["oracle", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2",
+                   "--r", "1"],
+    "bound_case2": ["bound", "--n", "100000", "--m", "100000", "--p", "0.5",
+                    "--s", "15", "--r", "15", "--regime", "case2"],
+}
+
+
+def command_digest(case: str, out_file: Path) -> str:
+    """sha256 of the whole output of one ``COMMAND_ARGV`` command."""
+    assert main([*COMMAND_ARGV[case], "--out", str(out_file)]) == 0
+    return hashlib.sha256(out_file.read_bytes()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -69,6 +90,7 @@ def golden() -> dict:
 def test_golden_covers_every_preset(golden):
     assert sorted(golden["sha256"]) == sorted(PRESET_NAMES)
     assert sorted(golden["simulate_sha256"]) == sorted(SIMULATE_ARGV)
+    assert sorted(golden["command_sha256"]) == sorted(COMMAND_ARGV)
     assert golden["samples"] == SAMPLES
 
 
@@ -90,6 +112,15 @@ def test_simulate_report_matches_golden(case, tmp_path, golden):
     )
 
 
+@pytest.mark.parametrize("case", sorted(COMMAND_ARGV))
+def test_command_output_matches_golden(case, tmp_path, golden):
+    got = command_digest(case, tmp_path / f"{case}.out")
+    assert got == golden["command_sha256"][case], (
+        f"{case}: output changed (golden made with numpy "
+        f"{golden['numpy_version']}, running numpy {np.__version__})"
+    )
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -98,7 +129,11 @@ if __name__ == "__main__":
                    for name in PRESET_NAMES}
         simulate = {case: simulate_digest(case, Path(tmp) / "out.json")
                     for case in sorted(SIMULATE_ARGV)}
+        commands = {case: command_digest(case, Path(tmp) / "out.txt")
+                    for case in sorted(COMMAND_ARGV)}
     payload = {"numpy_version": np.__version__, "samples": SAMPLES,
-               "sha256": digests, "simulate_sha256": simulate}
+               "sha256": digests, "simulate_sha256": simulate,
+               "command_sha256": commands}
     GOLDEN_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(digests)} digests to {GOLDEN_PATH}\n")
+    total = len(digests) + len(simulate) + len(commands)
+    sys.stdout.write(f"wrote {total} digests to {GOLDEN_PATH}\n")

@@ -67,15 +67,16 @@ class TestRunSingle:
         explicit = run_single(params, Regime.case_ii(2.5), samples=2000)
         assert implicit.report == explicit.report
         assert np.array_equal(implicit.simulated.values, explicit.simulated.values)
-        assert np.array_equal(implicit.reference.values, explicit.reference.values)
+        assert np.array_equal(implicit.reference, explicit.reference)
 
 
 def assert_same_run(a, b):
-    assert a.report == b.report and a.seed == b.seed
-    for got, want in ((a.simulated, b.simulated), (a.reference, b.reference)):
-        assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
-        assert got.zero_numerator_count == want.zero_numerator_count
-        assert got.zero_denominator_count == want.zero_denominator_count
+    assert a.report == b.report
+    assert np.array_equal(a.reference.view(np.uint64), b.reference.view(np.uint64))
+    got, want = a.simulated, b.simulated
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+    assert got.zero_numerator_count == want.zero_numerator_count
+    assert got.zero_denominator_count == want.zero_denominator_count
     for got, want in zip(a.report.histograms, b.report.histograms):
         assert np.array_equal(got.mass, want.mass)
         assert np.array_equal(got.edges, want.edges)
@@ -185,6 +186,18 @@ class TestRunSweep:
             run_sweep(spec)
         assert ran == []
 
+    @pytest.mark.parametrize("setting", [
+        {"samples": 0}, {"bins": 1}, {"master_seed": -1}, {"master_seed": 2**64},
+    ], ids=["samples", "bins", "negative_seed", "wide_seed"])
+    def test_settings_checked_before_any_run(self, monkeypatch, setting):
+        ran = []
+        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
+        with pytest.raises(ParameterError):
+            run_sweep(small_spec(**setting))
+        with pytest.raises(ParameterError):
+            preset("fig3c", **setting)
+        assert ran == []
+
     def test_single_point_matches_run_single(self):
         spec = small_spec(grid=(2.0,))
         row = run_sweep(spec)[0]
@@ -274,3 +287,12 @@ class TestBoundDiagnostics:
         )
         assert collapse.bound > 1.0
         assert collapse.q100 >= collapse.q99 >= collapse.q50 >= 0.0
+
+    def test_non_finite_quantiles_rejected(self):
+        # x^1e10 overflows for every draw, so the quantiles would be NaN
+        with pytest.raises(ParameterError, match="bound diagnostics are not finite"):
+            run_bound_diagnostics(
+                ModelParams(n=1000, m=1000, p=0.5, s=1e10, r=1.0),
+                Regime.case_ii(None),
+                samples=100,
+            )

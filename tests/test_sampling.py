@@ -401,7 +401,7 @@ class TestKeyedGenerator:
         _use(_keyed_generator(SeedSpec(8)), prior)
         ref = reference_normal_batch(2.5, 3000, self.SEED)
         want = make_generator(self.SEED).normal(0.0, math.sqrt(2.5), size=3000)
-        assert np.array_equal(ref.values.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(ref.view(np.uint64), want.view(np.uint64))
 
 
 class TestSimulateBatch:
@@ -458,17 +458,18 @@ class TestSimulateBatch:
 
 class TestReferenceNormalBatch:
     def test_zero_variance_gives_zeros(self):
-        batch = reference_normal_batch(0.0, 10, SeedSpec(1))
-        assert np.array_equal(batch.values, np.zeros(10))
+        ref = reference_normal_batch(0.0, 10, SeedSpec(1))
+        assert ref.dtype == np.float64 and np.array_equal(ref, np.zeros(10))
 
     def test_unit_variance_concentration(self):
-        batch = reference_normal_batch(1.0, 10**5, SeedSpec(2))
-        assert batch.values.var() == pytest.approx(1.0, rel=0.05)
+        ref = reference_normal_batch(1.0, 10**5, SeedSpec(2))
+        assert ref.dtype == np.float64
+        assert ref.var() == pytest.approx(1.0, rel=0.05)
 
     def test_deterministic(self):
         a = reference_normal_batch(2.0, 100, SeedSpec(5))
         b = reference_normal_batch(2.0, 100, SeedSpec(5))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ParameterError):

@@ -11,13 +11,16 @@ file sets, once with ``--trace 0`` (end-to-end metrics) and once with
 checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``),
 then times the checkout's ``oracle`` command at the sizes of
 ``ORACLE_SIZES`` (three runs each, median kept, in one interpreter warmed by a
-tiny oracle first). It writes each run's result and provenance, as run.py
-prints them, the tests' wall seconds, passed and failed counts and exit code,
-and the oracle wall seconds to ``BENCH_<short-commit>.json`` at the root of
-this repository. A checkout whose tracked files differ from its HEAD is
-recorded as ``<short-commit>-<first 7 hex digits of src_sha256>``, the digest
-of the sources it measured, so records of different uncommitted trees on one
-commit keep apart.
+tiny oracle first), then times ``sweep --preset NAME --threads 1`` at 100k
+samples for all 20 presets, once each, and ``sweep --preset fig3c`` at each of
+``SCALING_THREADS`` (three runs each, median kept), all in one interpreter
+warmed by a tiny sweep first. It writes each run's result and provenance, as
+run.py prints them, the tests' wall seconds, passed and failed counts and exit
+code, and the oracle and sweep wall seconds to ``BENCH_<short-commit>.json``
+at the root of this repository. A checkout whose tracked files differ from its
+HEAD is recorded as ``<short-commit>-<first 7 hex digits of src_sha256>``, the
+digest of the sources it measured, so records of different uncommitted trees
+on one commit keep apart.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # are above the support limit and print moments only.
 ORACLE_SIZES = ((640, 960), (1600, 2400), (5000, 5000))
 ORACLE_RUNS = 3
+SCALING_THREADS = (1, 2, 4, 8)
+SCALING_RUNS = 3
 
 _ORACLE_TIMER = """\
 import json, os, statistics, sys, time
@@ -58,6 +63,33 @@ for n, m in sizes:
     rows.append({"n": n, "m": m, "outcomes": (n + 1) * (m + 1),
                  "runs_s": times, "median_s": statistics.median(times)})
 print(json.dumps(rows))
+"""
+
+_SWEEP_TIMER = """\
+import json, os, statistics, sys, time, warnings
+sys.path.insert(0, "src")
+from binratio.cli import main
+from binratio.runner import PRESET_NAMES
+
+warnings.simplefilter("ignore")  # fig4d warns about its published range
+
+def sweep(name, threads, samples=100_000):
+    argv = ["sweep", "--preset", name, "--samples", str(samples),
+            "--threads", str(threads), "--out", os.devnull]
+    start = time.perf_counter()
+    if main(argv) != 0:
+        sys.exit(f"sweep {name} on {threads} threads failed")
+    return time.perf_counter() - start
+
+sweep("fig3c", 1, samples=100)
+presets = [{"preset": name, "wall_s": sweep(name, 1)} for name in PRESET_NAMES]
+threads, runs = json.loads(sys.argv[1]), int(sys.argv[2])
+scaling = []
+for count in threads:
+    times = [sweep("fig3c", count) for _ in range(runs)]
+    scaling.append({"threads": count, "runs_s": times,
+                    "median_s": statistics.median(times)})
+print(json.dumps({"presets_serial": presets, "fig3c_threads": scaling}))
 """
 
 
@@ -101,14 +133,14 @@ def run_tier1(checkout: Path) -> dict:
             "failed": counts.get("failed", 0), "exit_code": proc.returncode}
 
 
-def run_oracle_scaling(checkout: Path) -> list[dict]:
+def run_timer(checkout: Path, label: str, script: str, *args: str):
+    """The JSON that a timer script prints, run in one interpreter in ``checkout``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _ORACLE_TIMER, json.dumps(ORACLE_SIZES),
-         str(ORACLE_RUNS)],
+        [sys.executable, "-c", script, *args],
         cwd=checkout, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise SystemExit(f"error: oracle scaling exited {proc.returncode}:\n"
+        raise SystemExit(f"error: {label} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
     return json.loads(proc.stdout)
 
@@ -129,14 +161,22 @@ def main(argv=None) -> int:
     tier1 = run_tier1(checkout)
     print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
           f"in {tier1['wall_s']:.1f} s", file=sys.stderr)
-    oracle_scaling = run_oracle_scaling(checkout)
+    oracle_scaling = run_timer(checkout, "oracle scaling", _ORACLE_TIMER,
+                               json.dumps(ORACLE_SIZES), str(ORACLE_RUNS))
     for row in oracle_scaling:
         print(f"oracle ({row['n']}, {row['m']}): {row['median_s']:.3f} s",
+              file=sys.stderr)
+    sweeps = run_timer(checkout, "sweep timings", _SWEEP_TIMER,
+                       json.dumps(SCALING_THREADS), str(SCALING_RUNS))
+    serial_s = sum(row["wall_s"] for row in sweeps["presets_serial"])
+    print(f"20 presets serially: {serial_s:.2f} s", file=sys.stderr)
+    for row in sweeps["fig3c_threads"]:
+        print(f"fig3c on {row['threads']} threads: {row['median_s']:.3f} s",
               file=sys.stderr)
     name = record_name(checkout, runs[0]["provenance"]["src_sha256"])
     path = ROOT / f"BENCH_{name}.json"
     record = {"commit": name, "runs": runs, "tier1": tier1,
-              "oracle_scaling": oracle_scaling}
+              "oracle_scaling": oracle_scaling, **sweeps}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(path)
     return 0
