@@ -1,14 +1,7 @@
 """Simulation lab for the limiting Normal law of X^s/(X+Y)^r with Binomial X, Y."""
 
 from .errors import BinRatioError, BudgetError, ParameterError, RegimeError
-from .model import (
-    LimitLaw,
-    ModelParams,
-    Regime,
-    RegimeKind,
-    limit_law,
-    variance_limit_consistency,
-)
+from .model import LimitLaw, ModelParams, Regime, RegimeKind, limit_law
 from .sampling import (
     SampleBatch,
     SeedSpec,
@@ -46,7 +39,6 @@ __all__ = [
     "Regime",
     "RegimeKind",
     "limit_law",
-    "variance_limit_consistency",
     "SampleBatch",
     "SeedSpec",
     "draw_counts",

@@ -1,9 +1,10 @@
 """First- and second-order structure of f(x, y) = x^s / (x+y)^r.
 
 Provides the gradient and Hessian in closed form, a Gerschgorin-style bound
-on the Hessian spectral norm, the exact quadratic Taylor remainder of f at
-the mean point (np, mp), and the analytic bound on that remainder after the
-regime-appropriate rescaling.
+on the Hessian spectral norm, the quadratic Taylor remainder Q of f at the
+mean point (np, mp) after the regime's rescaling, and the analytic bound on
+it. ``scaled_remainder_samples`` is the one implementation of Q: Q itself
+is ``scaled_remainder_samples(params, law, x, y) / law.scale``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "hessian",
     "gerschgorin_norm_bound",
     "spectral_norm_2x2",
-    "remainder",
     "scaled_remainder_samples",
     "scaled_remainder_bound",
 ]
@@ -68,7 +68,8 @@ def eval_f(pt: Point2, r: float, s: float) -> float:
 def _scaled_gradient(f: float, x: float, y: float, r: float, s: float):
     """Gradient of x^s/(x+y)^r at (x, y), rescaled so the value there reads ``f``.
 
-    ``f`` = f(x, y) gives the gradient itself, scale * f(x, y) the scaled one.
+    ``f`` = f(x, y) gives the gradient itself (``gradient``), scale * f(x, y)
+    the scaled one (``scaled_remainder_samples``).
     """
     t = x + y
     return f * (s * t - r * x) / (x * t), -f * r / t
@@ -109,46 +110,15 @@ def spectral_norm_2x2(h: Hessian2) -> float:
     return max(abs(half_trace + disc), abs(half_trace - disc))
 
 
-def _remainder_raw(
-    n: float, m: float, p: float, r: float, s: float, x_obs: float, y_obs: float
-) -> float:
-    """Exact Taylor residual Q without parameter-domain validation.
-
-    Separated out so diagnostic paths (e.g. r = 0, where f is a pure power of
-    x) can bypass the r, s > 0 contract of ModelParams.
-    """
-    x0, y0 = n * p, m * p
-    log_f0 = s * math.log(x0) - r * math.log(x0 + y0)
-    f0 = math.exp(log_f0)
-    gx, gy = _scaled_gradient(f0, x0, y0, r, s)
-    dx, dy = x_obs - x0, y_obs - y0
-    if x_obs > 0 and x_obs + y_obs > 0:
-        # f(x, y) - f(x0, y0) via expm1 so nearby points do not cancel in f.
-        delta = s * math.log(x_obs) - r * math.log(x_obs + y_obs) - log_f0
-        df = f0 * math.expm1(delta)
-    else:
-        # x = 0 (or a fully degenerate draw): f is taken as 0, its minimum.
-        df = -f0
-    return df - (gx * dx + gy * dy)
-
-
-def remainder(params: ModelParams, x_obs: float, y_obs: float) -> float:
-    """Q(x, y) = f(x, y) - f(np, mp) - grad f(np, mp) . (x - np, y - mp)."""
-    if x_obs < 0 or y_obs < 0:
-        raise ParameterError("observations must be nonnegative")
-    return _remainder_raw(
-        params.n, params.m, params.p, params.r, params.s, x_obs, y_obs
-    )
-
-
 def scaled_remainder_samples(
     params: ModelParams, law: LimitLaw, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """scale * Q(x_i, y_i) for arrays of observed counts, in log-safe form.
 
-    Computed as T_i minus the rescaled linear term, where T_i is the
-    standardized statistic; both pieces are O(1) under the law's scaling even
-    when f itself would overflow or underflow.
+    Q(x, y) = f(x, y) - f(np, mp) - grad f(np, mp) . (x - np, y - mp), with
+    f taken as 0 where x = 0. Computed as T_i minus the rescaled linear term,
+    where T_i is the standardized statistic; both pieces are O(1) under the
+    law's scaling even when f itself would overflow or underflow.
     """
     x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p

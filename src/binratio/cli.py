@@ -210,9 +210,14 @@ def _spec_from_file(path: str) -> SweepSpec:
 def _cmd_sweep(args) -> None:
     if (args.preset is None) == (args.spec is None):
         raise ParameterError("provide exactly one of --preset or --spec")
+    settings = {"samples": args.samples, "bins": args.bins, "master_seed": args.seed}
+    settings = {key: value for key, value in settings.items() if value is not None}
     if args.preset is not None:
-        spec = preset(
-            args.preset, samples=args.samples, bins=args.bins, master_seed=args.seed
+        spec = preset(args.preset, **settings)
+    elif settings:
+        raise ParameterError(
+            "--samples, --bins and --seed do not apply with --spec; "
+            "set samples, bins and master_seed in the spec file"
         )
     else:
         spec = _spec_from_file(args.spec)
@@ -301,9 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = subs.add_parser("sweep", help="run a parameter sweep; CSV output")
     p_sweep.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
     p_sweep.add_argument("--spec", default=None, help="JSON sweep spec file")
-    p_sweep.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_sweep.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    # preset settings only; a spec file carries its own
+    p_sweep.add_argument("--samples", type=int, default=None)
+    p_sweep.add_argument("--bins", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -25,7 +25,6 @@ __all__ = [
     "RegimeKind",
     "LimitLaw",
     "limit_law",
-    "variance_limit_consistency",
     "heavy_denominator_variance",
     "balanced_variance",
     "light_denominator_variance",
@@ -174,7 +173,8 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
     degenerates to a point mass at these growth rates) and borrows the
     heavy-denominator variance formula as the comparison Normal. A BALANCED
     regime without alpha takes alpha = m/n, which must then be a positive
-    finite float.
+    finite float. A variance that overflows, or underflows to 0, is a
+    ParameterError; case 3 at r = s is the one exact 0.
     """
     n, m, p, s, r = params.n, params.m, params.p, params.s, params.r
     log_center = s * math.log(n) - r * math.log(n + m) + (s - r) * math.log(p)
@@ -209,6 +209,12 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
         raise ParameterError(
             f"limiting variance overflows at p={p!r}, s={s!r}, r={r!r}"
         )
+    # only the (s - r)^2 factor of case 3 makes the variance exactly 0
+    if variance == 0 and not (kind is RegimeKind.LIGHT_DENOMINATOR and s == r):
+        raise ParameterError(
+            f"limiting variance underflows to 0 under {kind.value} at "
+            f"p={p!r}, s={s!r}, r={r!r}"
+        )
 
     try:
         center = math.exp(log_center)
@@ -222,17 +228,3 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
         s=s,
         r=r,
     )
-
-
-def variance_limit_consistency(
-    params: ModelParams, alpha: float
-) -> tuple[float, float]:
-    """(balanced variance at the given alpha, light-denominator variance).
-
-    Cross-case probe: as alpha -> 0 the first component must approach the
-    second, since the balanced formula is continuous at alpha = 0.
-    """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise RegimeError(f"alpha must be positive and finite, got {alpha!r}")
-    p, s, r = params.p, params.s, params.r
-    return balanced_variance(p, s, r, alpha), light_denominator_variance(p, s, r)

@@ -20,7 +20,7 @@ float) raise ParameterError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,24 +140,16 @@ def _enumerate_moments(
 
 
 def exact_distribution(
-    params: ModelParams, regime: Regime | None = None, keep_support: bool = True
+    params: ModelParams, regime: Regime | None = None
 ) -> ExactDistribution:
-    """Exact distribution of R, or of T under ``regime``'s law when one is given."""
+    """Exact distribution of R, or of T under ``regime``'s law when one is given.
+
+    The support is kept while there are at most ``SUPPORT_LIMIT`` outcomes.
+    """
     law = None if regime is None else limit_law(params, regime)
     return _enumerate_moments(
-        params.n, params.m, params.p, params.s, params.r, law, keep_support
+        params.n, params.m, params.p, params.s, params.r, law, keep_support=True
     )
-
-
-def _exact_distribution_raw(
-    n: int, m: int, p: float, s: float, r: float
-) -> ExactDistribution:
-    """Unstandardized enumeration without the r, s > 0 contract.
-
-    Diagnostic-only path: r = 0 turns R into the plain power X^s, which
-    gives independently checkable moments.
-    """
-    return _enumerate_moments(n, m, p, s, r, None, keep_support=True)
 
 
 @dataclass(frozen=True)
@@ -181,13 +173,8 @@ def exact_vs_theory_convergence(
     """
     rows = []
     for k in scale_factors:
-        params = ModelParams(
-            n=base_params.n * int(k),
-            m=base_params.m * int(k),
-            p=base_params.p,
-            s=base_params.s,
-            r=base_params.r,
-        )
+        k = int(k)
+        params = replace(base_params, n=base_params.n * k, m=base_params.m * k)
         law = limit_law(params, regime)
         dist = _enumerate_moments(
             params.n, params.m, params.p, params.s, params.r, law, keep_support=False
@@ -198,7 +185,7 @@ def exact_vs_theory_convergence(
             rel = dist.variance  # absolute scale; must itself shrink
         rows.append(
             ConvergenceRow(
-                scale_factor=int(k),
+                scale_factor=k,
                 n=params.n,
                 m=params.m,
                 exact_variance=dist.variance,

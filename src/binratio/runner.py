@@ -62,6 +62,14 @@ DEFAULT_BOUND_SAMPLES = 10_000
 _STREAMS_PER_RUN = 3
 
 
+def _check_run_size(samples: int, bins: int) -> None:
+    """ParameterError unless a run of ``samples`` draws into ``bins`` bins is valid."""
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples!r}")
+    if bins < 2:
+        raise ParameterError(f"bins must be >= 2, got {bins!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter sweep description.
@@ -90,10 +98,7 @@ class SweepSpec:
             raise ParameterError("grid must be nonempty")
         if self.replicates_per_point < 1:
             raise ParameterError("replicates_per_point must be >= 1")
-        if self.samples < 1:
-            raise ParameterError(f"samples must be >= 1, got {self.samples!r}")
-        if self.bins < 2:
-            raise ParameterError(f"bins must be >= 2, got {self.bins!r}")
+        _check_run_size(self.samples, self.bins)
         SeedSpec(self.master_seed)
         object.__setattr__(self, "grid", tuple(self.grid))
 
@@ -133,7 +138,11 @@ def run_single(
     direction: Direction | None = None,
     seed: SeedSpec = SeedSpec(0),
 ) -> SingleRunResult:
-    """Simulate one batch, draw the matched Normal reference, compare."""
+    """Simulate one batch, draw the matched Normal reference, compare.
+
+    ``samples`` and ``bins`` are checked before anything is drawn.
+    """
+    _check_run_size(samples, bins)
     start = time.perf_counter()
     law = limit_law(params, regime)
     collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot

@@ -7,8 +7,14 @@ import threading
 
 import pytest
 
+import binratio
 from binratio import runner, sampling
 from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, _build_parser, main
+
+# child interpreters import the binratio these tests import, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(binratio.__file__))
+CHILD_PATH = [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, CHILD_PATH))}
 
 
 def run_cli(argv, capsys):
@@ -98,9 +104,10 @@ class TestSimulate:
         assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
     def test_non_finite_statistic_exit_2(self, capsys):
-        # x^10000 overflows where x > np, and the statistic there is NaN
+        # case 3 at r = s: the variance is exactly 0, scale * center
+        # underflows to 0 and expm1 overflows where x/(x+y) > 0.537: 0 * inf
         argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "10000",
-                "--r", "1", "--regime", "case3", "--samples", "200"]
+                "--r", "10000", "--regime", "case3", "--samples", "200"]
         assert_one_line_error(
             *run_cli(argv, capsys), "simulated sample holds a non-finite value"
         )
@@ -213,6 +220,14 @@ class TestSweep:
         argv = ["sweep", "--spec", str(spec_file)]
         assert_one_line_error(*run_cli(argv, capsys), message)
 
+    @pytest.mark.parametrize("flag", ["--samples", "--bins", "--seed"])
+    def test_run_setting_flag_with_spec_exit_2(self, capsys, tmp_path, flag):
+        # the spec file is the one source of run settings
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(SPEC), encoding="utf-8")
+        argv = ["sweep", "--spec", str(spec_file), flag, "7"]
+        assert_one_line_error(*run_cli(argv, capsys), "do not apply with --spec")
+
     def test_zero_threads_exit_2(self, capsys, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(SPEC), encoding="utf-8")
@@ -321,6 +336,20 @@ SHARED_PARSER_COMMANDS = [
 ]
 
 
+@pytest.mark.parametrize("model", [
+    # p^(2(s-r)-1) underflows; only case 3 at r = s has an exact 0 variance
+    ["--n", "1", "--m", "1", "--p", "1e-300", "--s", "30", "--r", "1",
+     "--regime", "case3"],
+    # (1 + alpha)^-(2(r+1)) underflows
+    ["--n", "10", "--m", "10", "--p", "0.5", "--s", "2", "--r", "2",
+     "--regime", "case2", "--alpha", "1e150"],
+], ids=["prefactor", "balanced_alpha"])
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_underflowing_variance_exit_2(capsys, command, model):
+    argv = [command, *model, *(["--samples", "100"] if command == "simulate" else [])]
+    assert_one_line_error(*run_cli(argv, capsys), "underflows to 0")
+
+
 def test_one_parser_serves_every_command(capsys):
     # each command alone, on a freshly built parser
     alone = []
@@ -376,7 +405,8 @@ def test_scipy_loaded_only_by_the_oracle(argv, loads_scipy):
     script = ("import sys\nfrom binratio.cli import main\nmain(sys.argv[1:])\n"
               "print('scipy' in sys.modules, file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script, *argv],
-                            capture_output=True, text=True, timeout=120)
+                            capture_output=True, text=True, timeout=120,
+                            env=CHILD_ENV)
     assert result.returncode == 0
     assert result.stderr == f"{loads_scipy}\n"
 
@@ -396,6 +426,7 @@ def test_closed_stdout_exits_quietly(argv):
         result = subprocess.run(
             [sys.executable, "-m", "binratio.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -404,18 +435,18 @@ def test_closed_stdout_exits_quietly(argv):
 
 
 NON_FINITE_SPEC = {
-    "base": {"n": 100, "m": 100, "p": 0.5, "s": 10000, "r": 1},
-    "regime": {"kind": "case3"}, "vary": "r", "grid": [1, 2], "samples": 200,
+    "base": {"n": 100, "m": 100, "p": 0.5, "s": 10000, "r": 10000},
+    "regime": {"kind": "case3"}, "vary": "p", "grid": [0.5, 0.6], "samples": 200,
 }
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "1e10", "--r", "1",
-      "--regime", "case2"], "bound diagnostics are not finite"),
+    (["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "1e6", "--r", "1e6",
+      "--regime", "case3"], "bound diagnostics are not finite"),
     (["oracle", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1e300", "--r", "1"],
      "exact moments are not finite"),
     (["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "10000", "--r",
-      "1", "--regime", "case3", "--samples", "200"],
+      "10000", "--regime", "case3", "--samples", "200"],
      "simulated sample holds a non-finite value"),
     (["sweep", "--spec", "SPEC", "--threads", "2"],
      "simulated sample holds a non-finite value"),
@@ -426,7 +457,8 @@ def test_non_finite_result_one_stderr_line(argv, message, tmp_path):
     spec.write_text(json.dumps(NON_FINITE_SPEC), encoding="utf-8")
     argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
     result = subprocess.run([sys.executable, "-m", "binratio.cli", *argv],
-                            capture_output=True, text=True, timeout=120)
+                            capture_output=True, text=True, timeout=120,
+                            env=CHILD_ENV)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
@@ -447,6 +479,7 @@ def test_console_entry_point():
          "--p", "0.5", "--s", "1", "--r", "1", "--regime", "case3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["variance"] == "0"

@@ -12,7 +12,6 @@ from binratio import (
     RegimeError,
     RegimeKind,
     limit_law,
-    variance_limit_consistency,
 )
 from binratio.model import balanced_variance, light_denominator_variance
 from binratio.runner import preset
@@ -83,6 +82,16 @@ class TestLimitLaw:
         law = limit_law(params, Regime.case_iii())
         assert law.variance == 0.0
 
+    @pytest.mark.parametrize("params, regime", [
+        # p^(2(s-r)-1) = 1e-300^57 underflows; (s - r)^2 is not 0
+        (ModelParams(n=1, m=1, p=1e-300, s=30.0, r=1.0), Regime.case_iii()),
+        # (1 + alpha)^-(2(r+1)) underflows at alpha = 1e150
+        (ModelParams(n=10, m=10, p=0.5, s=2.0, r=2.0), Regime.case_ii(1e150)),
+    ], ids=["prefactor", "balanced_alpha"])
+    def test_underflowing_variance_is_parameter_error(self, params, regime):
+        with pytest.raises(ParameterError, match="underflows to 0"):
+            limit_law(params, regime)
+
     def test_center_half_for_symmetric_unit_exponents(self):
         for regime in [Regime.case_i(), Regime.case_ii(1.0), Regime.case_iii()]:
             params = ModelParams(n=500, m=500, p=0.5, s=1.0, r=1.0)
@@ -142,29 +151,22 @@ class TestLimitLaw:
 
 class TestVarianceConsistency:
     def test_continuity_at_zero_alpha(self):
-        params = ModelParams(n=10, m=10, p=0.5, s=2.0, r=1.0)
-        v2, v3 = variance_limit_consistency(params, 1e-9)
+        v2 = balanced_variance(0.5, 2.0, 1.0, 1e-9)
+        v3 = light_denominator_variance(0.5, 2.0, 1.0)
         assert v2 == pytest.approx(v3, rel=1e-6)
 
     def test_degenerate_light_component(self):
-        params = ModelParams(n=10, m=10, p=0.5, s=15.0, r=15.0)
-        _, v3 = variance_limit_consistency(params, 1e-9)
-        assert v3 == 0.0
+        assert light_denominator_variance(0.5, 15.0, 15.0) == 0.0
 
     def test_both_positive(self):
-        params = ModelParams(n=10, m=10, p=0.3, s=3.0, r=2.0)
-        v2, v3 = variance_limit_consistency(params, 2.0)
+        v2 = balanced_variance(0.3, 3.0, 2.0, 2.0)
+        v3 = light_denominator_variance(0.3, 3.0, 2.0)
         assert v2 > 0 and v3 > 0
-
-    def test_rejects_bad_alpha(self):
-        params = ModelParams(n=10, m=10, p=0.3, s=3.0, r=2.0)
-        with pytest.raises(RegimeError):
-            variance_limit_consistency(params, -1.0)
 
     @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-9])
     def test_balanced_tends_to_light(self, alpha):
-        params = ModelParams(n=10, m=10, p=0.4, s=2.0, r=1.0)
-        v2, v3 = variance_limit_consistency(params, alpha)
+        v2 = balanced_variance(0.4, 2.0, 1.0, alpha)
+        v3 = light_denominator_variance(0.4, 2.0, 1.0)
         assert v2 == pytest.approx(v3, rel=20 * alpha)
 
     def test_balanced_tends_to_heavy_at_large_alpha(self):
@@ -191,7 +193,14 @@ def test_variances_never_negative(p, s, r, alpha):
         Regime.case_iii(),
         Regime.collapse(),
     ]:
-        law = limit_law(params, regime)
+        try:
+            law = limit_law(params, regime)
+        except ParameterError:
+            # only the balanced formula underflows here (alpha and r large),
+            # and a variance that underflows to 0 is rejected
+            assert regime.kind is RegimeKind.BALANCED
+            assert balanced_variance(p, s, r, alpha) == 0.0
+            continue
         assert law.variance >= 0
 
 

@@ -21,7 +21,6 @@ from binratio.oracle import (
     SUPPORT_LIMIT,
     ExactDistribution,
     _enumerate_moments,
-    _exact_distribution_raw,
     _log_binom_pmf,
 )
 from binratio.sampling import SeedSpec, standardized_statistic
@@ -116,16 +115,21 @@ def assert_moments_close(got, want, rtol=1e-12):
 
 
 class TestExactDistribution:
-    def test_symmetric_tiny_instance_mean(self):
-        # E[R | X+Y=k] = 1/2 for k >= 1 by symmetry, so E[R] = (1 - 2^-4)/2
-        params = ModelParams(n=2, m=2, p=0.5, s=1.0, r=1.0)
+    @pytest.mark.parametrize("n, m, p", [
+        (2, 2, 0.5), (10, 5, 0.3), (3, 200, 0.01), (300, 7, 0.9),
+    ])
+    def test_mean_matches_hypergeometric_closed_form(self, n, m, p):
+        # given X + Y = k >= 1, X is hypergeometric with mean k n/(n+m), so
+        # E[X/(X+Y)] = n/(n+m) (1 - (1-p)^(n+m)); at (2, 2, 0.5) that is 15/32
+        params = ModelParams(n=n, m=m, p=p, s=1.0, r=1.0)
         dist = exact_distribution(params)
-        assert dist.mean == pytest.approx(15 / 32, rel=1e-12)
+        want = n / (n + m) * -math.expm1((n + m) * math.log1p(-p))
+        assert dist.mean == pytest.approx(want, rel=1e-12)
 
     def test_probabilities_sum_to_one(self):
         for n, m, p in [(2, 2, 0.5), (50, 80, 0.3), (400, 600, 0.7)]:
             params = ModelParams(n=n, m=m, p=p, s=2.0, r=1.0)
-            dist = exact_distribution(params, keep_support=False)
+            dist = exact_distribution(params)
             assert dist.probability_total == pytest.approx(1.0, abs=1e-12)
 
     def test_support_is_full_grid(self):
@@ -136,9 +140,9 @@ class TestExactDistribution:
 
     def test_zero_exponent_diagnostic_path(self):
         # r = 0 makes R = X, whose mean is n p
-        dist = _exact_distribution_raw(1, 1, 0.5, s=1.0, r=0.0)
+        dist = _enumerate_moments(1, 1, 0.5, 1.0, 0.0, None, True)
         assert dist.mean == pytest.approx(0.5, rel=1e-12)
-        dist2 = _exact_distribution_raw(10, 5, 0.3, s=1.0, r=0.0)
+        dist2 = _enumerate_moments(10, 5, 0.3, 1.0, 0.0, None, True)
         assert dist2.mean == pytest.approx(3.0, rel=1e-12)
         assert dist2.variance == pytest.approx(10 * 0.3 * 0.7, rel=1e-12)
 
@@ -204,7 +208,7 @@ class TestConvergence:
         means = []
         for k in [1, 4, 16]:
             params = ModelParams(n=50 * k, m=50 * k, p=0.3, s=2.0, r=1.0)
-            dist = exact_distribution(params, regime, keep_support=False)
+            dist = exact_distribution(params, regime)
             means.append(abs(dist.mean))
         assert means[0] > means[1] > means[2]
 

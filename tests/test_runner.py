@@ -69,6 +69,17 @@ class TestRunSingle:
         assert np.array_equal(implicit.simulated.values, explicit.simulated.values)
         assert np.array_equal(implicit.reference, explicit.reference)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"samples": 0}, "samples must be >= 1"), ({"bins": 1}, "bins must be >= 2"),
+    ], ids=["samples", "bins"])
+    def test_settings_checked_before_any_draw(self, monkeypatch, setting, message):
+        def no_draw(*args, **kw):
+            raise AssertionError("simulate_batch called")
+
+        monkeypatch.setattr(runner, "simulate_batch", no_draw)
+        with pytest.raises(ParameterError, match=message):
+            run_single(BALANCED_PARAMS, Regime.case_ii(None), **setting)
+
 
 def assert_same_run(a, b):
     assert a.report == b.report
@@ -289,10 +300,12 @@ class TestBoundDiagnostics:
         assert collapse.q100 >= collapse.q99 >= collapse.q50 >= 0.0
 
     def test_non_finite_quantiles_rejected(self):
-        # x^1e10 overflows for every draw, so the quantiles would be NaN
+        # case 3 at r = s: the variance is exactly 0, scale * center
+        # underflows to 0 and expm1 overflows where x/(x+y) > 0.50036,
+        # so 0 * inf makes the quantiles NaN
         with pytest.raises(ParameterError, match="bound diagnostics are not finite"):
             run_bound_diagnostics(
-                ModelParams(n=1000, m=1000, p=0.5, s=1e10, r=1.0),
-                Regime.case_ii(None),
+                ModelParams(n=1000, m=1000, p=0.5, s=1e6, r=1e6),
+                Regime.case_iii(),
                 samples=100,
             )
