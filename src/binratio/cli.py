@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -45,8 +46,16 @@ SWEEP_CSV_HEADER = (
 
 BOUND_CSV_HEADER = "n,m,bound,q50,q99,q100"
 
+_SUPPORT_ITEM = '    [\n      "%.17g",\n      "%.17g"\n    ]'
+
 
 def _fmt(v: float) -> str:
+    """``v`` with 17 significant digits; ParameterError if it is not finite."""
+    if not math.isfinite(v):
+        raise ParameterError(
+            f"a result is {v!r}, not a finite float; the inputs are beyond "
+            "what this command can represent"
+        )
     return f"{v:.17g}"
 
 
@@ -254,12 +263,15 @@ def _cmd_oracle(args) -> None:
         "standardized": regime is not None,
         "support_limit": SUPPORT_LIMIT,
     }
+    text = json.dumps(payload, indent=2)
     if dist.values is not None:
-        payload["support"] = [  # Python floats format faster than numpy scalars
-            [_fmt(v), _fmt(p)]
-            for v, p in zip(dist.values.tolist(), dist.probabilities.tolist())
-        ]
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+        # The (value, probability) pairs as json.dumps(indent=2) nests them,
+        # from one printf-style format: with indent set, json falls back to
+        # its pure-Python encoder. They are finite, as the checked moments are.
+        pairs = np.column_stack((dist.values, dist.probabilities)).ravel().tolist()
+        support = ",\n".join([_SUPPORT_ITEM] * len(dist.values)) % tuple(pairs)
+        text = text[:-2] + ',\n  "support": [\n' + support + "\n  ]\n}"  # before "\n}"
+    _write(text + "\n", args.out)
 
 
 def _cmd_bound(args) -> None:

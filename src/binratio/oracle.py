@@ -1,13 +1,18 @@
 """Exact small-instance ground truth by full enumeration of the joint pmf.
 
 Enumerates all (x, y) in [0, n] x [0, m], weights each outcome by the product
-of the two Binomial pmfs (log-gamma evaluation), and aggregates the exact
+of the two Binomial pmfs (log-factorial table), and aggregates the exact
 mean and variance of the ratio statistic, optionally standardized by a limit
 law. One pass visits blocks of whole x-strata of about 16k outcomes each,
 evaluating the pmf and the statistic once per outcome; each stratum's weight,
 first moment and centered second moment are combined in stratum order with
 fsum. Feasible only while (n+1)(m+1) stays within the enumeration budget;
 beyond that, Monte Carlo is the tool.
+
+Log-factorials come from a table built with the Stirling series of Cephes
+lgam (Moshier, Methods and Programs for Mathematical Functions, 1989) and
+glibc's log, the evaluation scipy.special.gammaln performs, so the pmf is bit
+for bit the one gammaln gives without importing scipy.
 
 Underflow rule: exp is skipped only for outcomes whose log-probability is
 below EXP_ZERO_BELOW, where it would return +0.0 anyway, so those outcomes
@@ -43,6 +48,16 @@ BLOCK_OUTCOMES = 2**14  # outcomes per enumeration block, so temporaries stay in
 # exp(x) is +0.0 for every x below ln(2**-1075) = -745.1332..., and numpy's
 # exp is many times slower there than in range; -746 leaves a margin below it.
 EXP_ZERO_BELOW = -746.0
+# Cephes lgam's Stirling series: log(sqrt(2 pi)) and the coefficients of its
+# 1/x**2 polynomial for 13 <= x < 1000 (Moshier 1989)
+_LS2PI = 0.91893853320467274178
+_STIRLING_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 @dataclass(frozen=True)
@@ -61,16 +76,46 @@ class ExactDistribution:
     probability_total: float
 
 
-def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    from scipy.special import gammaln  # only oracle runs pay for importing scipy
+def _log_gamma_stirling(lo: int, hi: int) -> np.ndarray:
+    """log Gamma(x) at the integers x = lo .. hi - 1 (lo >= 13), as Cephes lgam.
 
-    return (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
+    The Stirling series with Moshier's coefficients and branch points, in
+    lgam's operation order, so each value is bit for bit the one Cephes (and
+    so scipy.special.gammaln) returns.
+    """
+    x = np.arange(lo, hi, dtype=np.float64)
+    # glibc's log through math.log, as Cephes calls it; numpy's SIMD log
+    # differs in the last bit at some integers. In place from here on, so
+    # that building the table holds few arrays of its length at once.
+    q = (x - 0.5) * np.fromiter(map(math.log, range(lo, hi)), np.float64, hi - lo)
+    q -= x
+    q += _LS2PI
+    p = 1.0 / (x * x)
+    mid = min(max(1000 - lo, 0), hi - lo)  # x < 1000 before this index
+    end = min(max(10**8 + 1 - lo, 0), hi - lo)  # no correction after x = 1e8
+    a0, a1, a2, a3, a4 = _STIRLING_A
+    pm = p[:mid]
+    q[:mid] += ((((a0 * pm + a1) * pm + a2) * pm + a3) * pm + a4) / x[:mid]
+    pb = p[mid:end]
+    q[mid:end] += (
+        (7.9365079365079365079365e-4 * pb - 2.7777777777777777777778e-3) * pb
+        + 0.0833333333333333333333
+    ) / x[mid:end]
+    return q
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """log(k!) for k = 0 .. top, bit for bit scipy.special.gammaln(k + 1)."""
+    # below x = k + 1 = 13 lgam takes the log of the exact product
+    exact = [math.log(math.factorial(k)) for k in range(min(top, 11) + 1)]
+    if top <= 11:
+        return np.array(exact)
+    return np.concatenate((exact, _log_gamma_stirling(13, top + 2)))
+
+
+def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    lf = _log_factorials(n)
+    return lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
 def _enumerate_moments(

@@ -44,6 +44,7 @@ from .sampling import (
 __all__ = [
     "DEFAULT_BOUND_SAMPLES",
     "DEFAULT_SAMPLES",
+    "RUN_MEMORY_BUDGET",
     "SweepSpec",
     "SweepRow",
     "SingleRunResult",
@@ -58,16 +59,35 @@ __all__ = [
 DEFAULT_SAMPLES = 100_000
 DEFAULT_BOUND_SAMPLES = 10_000
 
+# Memory budget of one run, in bytes. Peak RSS grows by 32 to 39 bytes per
+# sample (the counts, the statistic, the reference and their sorted copies)
+# and by about 40 bytes per bin, or 640 when ``simulate`` prints both
+# histograms as JSON, measured at 1e6 and 4e6 of each; the estimate below
+# rounds these up. A run estimated above the budget is refused before any draw.
+RUN_MEMORY_BUDGET = 2**32
+_SAMPLE_BYTES = 40
+_BIN_BYTES = 640
+
 # Streams consumed per run: X draws, Y draws, Normal reference.
 _STREAMS_PER_RUN = 3
 
 
 def _check_run_size(samples: int, bins: int) -> None:
-    """ParameterError unless a run of ``samples`` draws into ``bins`` bins is valid."""
+    """ParameterError unless a run of ``samples`` draws into ``bins`` bins is valid.
+
+    Valid means at least one sample, at least two bins, and an estimated peak
+    memory within ``RUN_MEMORY_BUDGET``.
+    """
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples!r}")
     if bins < 2:
         raise ParameterError(f"bins must be >= 2, got {bins!r}")
+    need = samples * _SAMPLE_BYTES + bins * _BIN_BYTES
+    if need > RUN_MEMORY_BUDGET:
+        raise ParameterError(
+            f"{samples} samples in {bins} bins need about {need / 2**30:.3g} GiB, "
+            f"over the run memory budget of {RUN_MEMORY_BUDGET / 2**30:.3g} GiB"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 import binratio
-from binratio import runner, sampling
+from binratio import ModelParams, Regime, exact_distribution, runner, sampling
 from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, _build_parser, main
 
 # child interpreters import the binratio these tests import, installed or not
@@ -70,6 +70,13 @@ class TestLimit:
             argv = [*model, *exponents, "--regime", "case2"]
             assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
+    @pytest.mark.parametrize("p, s", [("0.99", "10000"), ("0.5", "300")])
+    def test_overflowing_center_exit_2(self, capsys, p, s):
+        # the variance and log_center are finite; exp(log_center) is not
+        argv = ["limit", "--n", "100", "--m", "100", "--p", p, "--s", s,
+                "--r", "1", "--regime", "case3"]
+        assert_one_line_error(*run_cli(argv, capsys), "a result is inf, not a finite")
+
     def test_unknown_regime_exit_2(self, capsys):
         code, _, _ = run_cli(
             ["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1",
@@ -111,6 +118,18 @@ class TestSimulate:
         assert_one_line_error(
             *run_cli(argv, capsys), "simulated sample holds a non-finite value"
         )
+
+    @pytest.mark.parametrize("size", [
+        ["--samples", "1000000000000"],
+        ["--samples", "100", "--bins", "1000000000000"],
+    ], ids=["samples", "bins"])
+    def test_over_memory_budget_exit_2_before_any_draw(self, capsys, monkeypatch, size):
+        drawn = []
+        monkeypatch.setattr(runner, "simulate_batch", lambda *a, **kw: drawn.append(a))
+        argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
+                "--r", "1", "--regime", "case2", *size]
+        assert_one_line_error(*run_cli(argv, capsys), "over the run memory budget")
+        assert drawn == []
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
@@ -246,6 +265,23 @@ class TestOracle:
         payload = json.loads(out)
         assert float(payload["mean"]) == pytest.approx(15 / 32)
         assert len(payload["support"]) == 9
+
+    @pytest.mark.parametrize("regime", [["--regime", "case2"], []],
+                             ids=["standardized", "raw"])
+    def test_support_as_the_json_encoder_prints_it(self, capsys, regime):
+        # well above the pinned (40, 60) supports: 30k outcomes
+        argv = ["oracle", "--n", "120", "--m", "250", "--p", "0.3", "--s", "2",
+                "--r", "1", *regime]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        params = ModelParams(n=120, m=250, p=0.3, s=2.0, r=1.0)
+        dist = exact_distribution(params, Regime.case_ii(None) if regime else None)
+        payload = {**json.loads(out), "support": [
+            [f"{v:.17g}", f"{p:.17g}"]
+            for v, p in zip(dist.values.tolist(), dist.probabilities.tolist())
+        ]}
+        assert len(payload["support"]) == 121 * 251
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_budget_exceeded_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -397,18 +433,24 @@ def test_each_command_drops_its_generator(monkeypatch):
         assert getattr(sampling._thread, "generator", None) is None, argv
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (GENERATOR_COMMANDS[0], False),
-    (["oracle", "--n", "4", "--m", "6", "--p", "0.5", "--s", "2", "--r", "1"], True),
-], ids=["simulate", "oracle"])
-def test_scipy_loaded_only_by_the_oracle(argv, loads_scipy):
-    script = ("import sys\nfrom binratio.cli import main\nmain(sys.argv[1:])\n"
-              "print('scipy' in sys.modules, file=sys.stderr)")
+@pytest.mark.parametrize("argv", [
+    ["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1", "--r", "1",
+     "--regime", "case3"],
+    GENERATOR_COMMANDS[0],
+    GENERATOR_COMMANDS[1],
+    ["oracle", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2", "--r", "1",
+     "--regime", "case2"],
+    GENERATOR_COMMANDS[3],
+], ids=["limit", "simulate", "sweep", "oracle", "bound"])
+def test_no_command_loads_scipy(argv):
+    script = ("import io, sys\nfrom contextlib import redirect_stdout\n"
+              "from binratio.cli import main\n"
+              "with redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+              "print(code, 'scipy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", script, *argv],
                             capture_output=True, text=True, timeout=120,
                             env=CHILD_ENV)
-    assert result.returncode == 0
-    assert result.stderr == f"{loads_scipy}\n"
+    assert result.stdout == "0 False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from binratio import (
     BudgetError,
@@ -22,6 +23,8 @@ from binratio.oracle import (
     ExactDistribution,
     _enumerate_moments,
     _log_binom_pmf,
+    _log_factorials,
+    _log_gamma_stirling,
 )
 from binratio.sampling import SeedSpec, standardized_statistic
 
@@ -259,6 +262,42 @@ class TestOnePassEquivalence:
         got = self.check(30, 20, 0.3, 1.0, 0.0)
         assert got.mean == pytest.approx(30 * 0.3, rel=1e-12)
         assert got.variance == pytest.approx(30 * 0.3 * 0.7, rel=1e-12)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestLogFactorials:
+    """The table is bit for bit scipy's gammaln(k + 1), the reference it replaced."""
+
+    def test_first_20000_match_gammaln(self):
+        assert_same_bits(_log_factorials(20000), gammaln(np.arange(20001) + 1))
+
+    # x = top + 1 on each side of lgam's branch points: the exact product
+    # below 13, the five-term series below 1000, the three-term one above
+    @pytest.mark.parametrize("x", [1, 2, 12, 13, 14, 999, 1000, 1001])
+    def test_table_ending_at_a_branch_edge(self, x):
+        assert_same_bits(_log_factorials(x - 1), gammaln(np.arange(x) + 1))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (13, 14), (999, 1001), (10**8 - 1000, 10**8 + 1001), (10**8, 10**8 + 1),
+    ])
+    def test_series_kernel_matches_gammaln(self, lo, hi):
+        # above x = 1e8 lgam drops the series' correction term
+        x = np.arange(lo, hi, dtype=np.float64)
+        assert_same_bits(_log_gamma_stirling(lo, hi), gammaln(x))
+
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.5), (40, 0.3), (2400, 0.5), (3000, 0.999), (20000, 1e-6),
+    ])
+    def test_log_binom_pmf_matches_gammaln_expression(self, n, p):
+        k = np.arange(n + 1)
+        want = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                + k * math.log(p) + (n - k) * math.log1p(-p))
+        assert_same_bits(_log_binom_pmf(k, n, p), want)
 
 
 class TestSkippedExp:

@@ -199,7 +199,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("setting", [
         {"samples": 0}, {"bins": 1}, {"master_seed": -1}, {"master_seed": 2**64},
-    ], ids=["samples", "bins", "negative_seed", "wide_seed"])
+        {"samples": 10**12}, {"bins": 10**12},
+    ], ids=["samples", "bins", "negative_seed", "wide_seed", "samples_over_budget",
+            "bins_over_budget"])
     def test_settings_checked_before_any_run(self, monkeypatch, setting):
         ran = []
         monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
@@ -273,6 +275,26 @@ class TestPresets:
         spec = preset("fig2a", samples=100)
         assert min(spec.grid) >= 0.01
         assert max(spec.grid) <= 0.99
+
+
+class TestRunMemoryBudget:
+    def test_presets_and_benchmark_sizes_within_budget(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name in PRESET_NAMES:
+                preset(name)  # 100k samples, the default bins
+        # the benchmark's two sweep workloads run 100k and 2000 samples
+        for samples in (runner.DEFAULT_SAMPLES, 2000):
+            small_spec(samples=samples, bins=runner.DEFAULT_BIN_COUNT)
+
+    def test_largest_run_within_budget(self):
+        budget = runner.RUN_MEMORY_BUDGET
+        most = (budget - 2 * runner._BIN_BYTES) // runner._SAMPLE_BYTES
+        runner._check_run_size(most, 2)
+        with pytest.raises(ParameterError, match="over the run memory budget"):
+            runner._check_run_size(most + 1, 2)
 
 
 class TestBoundDiagnostics:
