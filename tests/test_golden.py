@@ -4,7 +4,8 @@ The hash covers the CSV with the ``wall_time_ms`` column removed, so it pins
 the draws (``Generator.binomial`` and ``Generator.normal`` streams), the
 standardization, the binning and the KL bit for bit. Two ``simulate``
 reports, and one output each of ``limit``, ``oracle`` (standardized and raw,
-support printed) and ``bound``, are pinned the same way. numpy may change its
+support printed; two more standardized, moments only) and ``bound``, are
+pinned the same way. numpy may change its
 streams between versions (NEP 19); when it does, this test fails for every
 preset instead of letting "bitwise reproducible" results drift silently.
 
@@ -71,6 +72,12 @@ COMMAND_ARGV = {
                      "--r", "1", "--regime", "case2"],
     "oracle_raw": ["oracle", "--n", "40", "--m", "60", "--p", "0.5", "--s", "2",
                    "--r", "1"],
+    # moments only: most enumeration blocks have no outcome with a nonzero
+    # probability, and at p = 0.999 the nonzero ones sit at the right edge
+    "oracle_dead_blocks": ["oracle", "--n", "20000", "--m", "300", "--p", "0.01",
+                           "--s", "2", "--r", "1", "--regime", "case2"],
+    "oracle_right_edge": ["oracle", "--n", "3000", "--m", "2000", "--p", "0.999",
+                          "--s", "2", "--r", "1", "--regime", "case2"],
     "bound_case2": ["bound", "--n", "100000", "--m", "100000", "--p", "0.5",
                     "--s", "15", "--r", "15", "--regime", "case2"],
 }
