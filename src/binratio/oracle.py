@@ -14,12 +14,30 @@ lgam (Moshier, Methods and Programs for Mathematical Functions, 1989) and
 glibc's log, the evaluation scipy.special.gammaln performs, so the pmf is bit
 for bit the one gammaln gives without importing scipy.
 
+The statistic needs r*log(x + y) at every outcome. Row x of it is the
+slice [x, x + m] of one table of r*log(t), t = 0 .. n + m, so the table is
+built once per enumeration and seen through a sliding window. A block hands
+its rows of the window to ``standardized_statistic`` (or, for R, subtracts
+them from s*log(x)), so it takes one subtraction per outcome and no log,
+and the statistic is bit for bit the one formed from the counts.
+
 Underflow rule: exp is skipped only for outcomes whose log-probability is
 below EXP_ZERO_BELOW, where it would return +0.0 anyway, so those outcomes
 weigh exactly +0.0 and every output is the same as with exp everywhere.
-Subnormal probabilities above that cut-off are computed and kept, never
-flushed to zero. Moments that are not finite (a statistic that overflows a
-float) raise ParameterError.
+Because float addition rounds monotonically, a column of a block is +0.0 in
+every row when its log-probability plus the block's largest x
+log-probability is below the cut-off; exp runs only on the range from the
+first to the last other (live) column. The statistic and the sums still span
+whole rows, so the sums group their terms as before, and a statistic that
+overflows at an outcome of probability +0.0 still makes the moments NaN. A
+block without a live column skips exp and the sums: its rows weigh +0.0, and
+their moments are +0.0, or NaN where T or T**2 is not finite, exactly what
+the sums give. Subnormal probabilities above the cut-off are computed and
+kept, never flushed to zero; they are what exp still costs most: numpy's exp
+took about 160 ns per subnormal result against 1.3 ns per normal one (2
+vCPUs, numpy 2.4.6), and 2.4% of the outcomes at (1600, 2400), p = 0.5, are
+subnormal. Moments that are not finite (a statistic that overflows a float)
+raise ParameterError.
 """
 
 from __future__ import annotations
@@ -28,6 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetError, ParameterError
 from .model import LimitLaw, ModelParams, Regime, limit_law
@@ -118,6 +137,20 @@ def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     return lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
+def _scaled_log_sums(n: int, m: int, r: float) -> np.ndarray:
+    """r*log(x + y) at rows x = 0 .. n and columns y = 0 .. m, log(0) read as log(1).
+
+    A read-only window view over one table of r*log(t), t = 0 .. n + m: row x
+    is the table's slice [x, x + m], so it costs n + m + 1 logs, not one per
+    outcome. Each entry is bit for bit r * np.log(float(x + y)).
+    """
+    table = np.arange(n + m + 1, dtype=np.float64)
+    table[0] = 1.0
+    np.log(table, out=table)
+    table *= r
+    return sliding_window_view(table, m + 1)
+
+
 def _enumerate_moments(
     n: int, m: int, p: float, s: float, r: float, law: LimitLaw | None,
     keep_support: bool,
@@ -132,6 +165,7 @@ def _enumerate_moments(
     ys = np.arange(m + 1)
     lpx = _log_binom_pmf(xs, n, p)
     lpy = _log_binom_pmf(ys, m, p)
+    r_log_t = _scaled_log_sums(n, m, r)
     if law is None:
         # Unstandardized R, with s*log(x) from math.log once per stratum;
         # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
@@ -142,30 +176,49 @@ def _enumerate_moments(
     # combined in stratum order with fsum (Chan, Golub & LeVeque 1983).
     keep = keep_support and outcomes <= SUPPORT_LIMIT
     sup_v = np.empty(outcomes) if keep else None
-    sup_p = np.empty(outcomes) if keep else None
+    sup_p = np.zeros(outcomes) if keep else None  # blocks without exp stay +0.0
     w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))  # mu = 0 where w = 0
     rows = max(1, BLOCK_OUTCOMES // (m + 1))
     # beyond float range the moments are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n + 1, rows):
             hi = min(lo + rows, n + 1)
-            arg = lpx[lo:hi, None] + lpy[None, :]
-            prob = np.zeros_like(arg)
-            # NaN goes through exp
-            np.exp(arg, out=prob, where=~(arg < EXP_ZERO_BELOW))
+            block = slice(lo * (m + 1), hi * (m + 1))
             if law is None:
-                t = (xs[lo:hi, None] + ys[None, :]).astype(np.float64)
-                t[t == 0] = 1.0
-                val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
+                val = s_log_x[lo:hi, None] - r_log_t[lo:hi]
+                np.exp(val, out=val)
             else:
-                val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
+                val = standardized_statistic(
+                    xs[lo:hi, None], ys[None, :], law, r_log_sum=r_log_t[lo:hi]
+                )
+            if keep:
+                sup_v[block] = val.ravel()
+            # Float addition rounds monotonically, so a column whose lpy plus
+            # the block's largest lpx is below the cut-off is +0.0 in every
+            # row; exp runs only from the first to the last other (live)
+            # column. NaN counts as live and goes through exp.
+            live = np.flatnonzero(~(lpy + lpx[lo:hi].max() < EXP_ZERO_BELOW))
+            if not live.size:
+                # Every weight is +0.0, and so is each row's sum unless one of
+                # its terms is not finite (0 * inf is NaN): mu = 0 here, so the
+                # terms are 0 * T and 0 * T**2.
+                pv[lo:hi][~np.isfinite(val).all(axis=1)] = math.nan
+                np.square(val, out=val)
+                m2[lo:hi][~np.isfinite(val).all(axis=1)] = math.nan
+                continue
+            prob = np.zeros((hi - lo, m + 1))
+            a, b = live[0], live[-1] + 1
+            arg = lpx[lo:hi, None] + lpy[None, a:b]
+            np.exp(arg, out=prob[:, a:b], where=~(arg < EXP_ZERO_BELOW))
+            if keep:
+                sup_p[block] = prob.ravel()
+            # reductions over whole rows: their grouping depends on position
             w[lo:hi] = prob.sum(axis=1)
             pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
             np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
-            m2[lo:hi] = np.einsum("ij,ij->i", prob, (val - mu[lo:hi, None]) ** 2)
-            if keep:
-                sup_v[lo * (m + 1):hi * (m + 1)] = val.ravel()
-                sup_p[lo * (m + 1):hi * (m + 1)] = prob.ravel()
+            val -= mu[lo:hi, None]
+            np.square(val, out=val)
+            m2[lo:hi] = np.einsum("ij,ij->i", prob, val)
         total = math.fsum(w)
         mean = math.fsum(pv)
         variance = math.fsum(m2 + w * (mu - mean) ** 2)

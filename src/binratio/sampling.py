@@ -191,7 +191,7 @@ def _numeric(v) -> np.ndarray:
     return arr if arr.dtype.kind in "biuf" else arr.astype(np.float64)
 
 
-def standardized_statistic(x, y, law: LimitLaw):
+def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
     Here amp = exp(log_scale + log_center) and
@@ -204,6 +204,10 @@ def standardized_statistic(x, y, law: LimitLaw):
     The counts are read as given, the sum and both logs are formed in
     float64 and every later step runs in place on the sum's buffer; the
     x = 0 and x + y = 0 masks apply only when some count is not positive.
+    A caller that already holds r*log(x + y), with log(0) read as log(1), in
+    the broadcast shape of x and y passes it as ``r_log_sum`` (it is only
+    read): the sum and its log are then not formed, and the result is bit
+    for bit the same. The exact oracle reads it from one table this way.
     """
     amp = math.exp(law.log_scale + law.log_center)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
@@ -214,16 +218,19 @@ def standardized_statistic(x, y, law: LimitLaw):
         raise ParameterError("counts must be nonnegative")
     # beyond float range T is inf or NaN, unwarned: every caller rejects it
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add(x_arr, y_arr, dtype=np.float64)
+        out = None
+        if r_log_sum is None:
+            out = r_log_sum = np.add(x_arr, y_arr, dtype=np.float64)
+            if masked:
+                np.copyto(out, 1.0, where=~(out > 0))
+            np.log(out, out=out)
+            out *= law.r
         if masked:
-            np.copyto(out, 1.0, where=~(out > 0))
             x_pos = x_arr > 0
             x_arr = np.where(x_pos, x_arr, 1)
-        np.log(out, out=out)
-        out *= law.r
         delta = np.log(x_arr, dtype=np.float64)
         delta *= law.s
-        np.subtract(delta, out, out=out)
+        out = np.subtract(delta, r_log_sum, out=out)
         out -= law.log_center
         np.expm1(out, out=out)
         if masked:

@@ -303,6 +303,12 @@ class TestOracle:
                 "--r", "1"]
         assert_one_line_error(*run_cli(argv, capsys), "exact moments are not finite")
 
+    def test_overflow_only_at_zero_probability_exit_2(self, capsys):
+        # the statistic overflows only at outcomes whose probability is +0.0
+        argv = ["oracle", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "1",
+                "--r", "120", "--regime", "case2"]
+        assert_one_line_error(*run_cli(argv, capsys), "exact moments are not finite")
+
 
 class TestBound:
     def test_csv_row(self, capsys):
@@ -321,6 +327,15 @@ class TestBound:
         argv = ["bound", "--n", "100", "--m", "100", "--p", "0.5", "--s", "2",
                 "--r", "1", "--regime", "case2", "--samples", samples]
         assert_one_line_error(*run_cli(argv, capsys), "count must be >= 1")
+
+    def test_over_memory_budget_exit_2_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("draw_counts called")
+
+        monkeypatch.setattr(runner, "draw_counts", no_draw)
+        argv = ["bound", "--n", "1000", "--m", "1000", "--p", "0.5", "--s", "1",
+                "--r", "1", "--regime", "case2", "--samples", "1000000000000"]
+        assert_one_line_error(*run_cli(argv, capsys), "over the run memory budget")
 
 
 @pytest.mark.parametrize("command", ["simulate", "bound", "sweep"])

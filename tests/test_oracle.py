@@ -25,6 +25,7 @@ from binratio.oracle import (
     _log_binom_pmf,
     _log_factorials,
     _log_gamma_stirling,
+    _scaled_log_sums,
 )
 from binratio.sampling import SeedSpec, standardized_statistic
 
@@ -177,6 +178,30 @@ class TestExactDistribution:
         with pytest.raises(ParameterError, match="exact moments are not finite"):
             exact_distribution(params)
 
+    @pytest.mark.parametrize("n, r, message", [
+        # T overflows at (1, 0), (1, 1) and (2, 0) alone, where the probability
+        # is +0.0 but not in every column of their block
+        (1000, 120.0, "mean nan"),
+        # T overflows in a block whose probabilities are all +0.0
+        (2000, 120.0, "mean nan"),
+        # T is finite and T**2 overflows, only in such a block
+        (2000, 60.0, "variance nan"),
+    ])
+    def test_non_finite_terms_at_zero_probability_raise(self, n, r, message):
+        # exp is skipped there, but 0 * inf is still NaN in the moments
+        params = ModelParams(n=n, m=n, p=0.5, s=1.0, r=r)
+        regime = Regime.case_ii(None)
+        xs = np.arange(n + 1)
+        val = standardized_statistic(xs[:, None], xs[None, :], limit_law(params, regime))
+        lp = _log_binom_pmf(xs, n, 0.5)
+        prob = np.exp(lp[:, None] + lp[None, :])
+        with np.errstate(over="ignore"):
+            square = val**2
+        assert not np.all(np.isfinite(square))
+        assert np.all(np.isfinite(square[prob > 0]))
+        with pytest.raises(ParameterError, match=message):
+            exact_distribution(params, regime)
+
     def test_budget_exceeded(self):
         params = ModelParams(n=20_000, m=20_000, p=0.5, s=1.0, r=1.0)
         with pytest.raises(BudgetError):
@@ -270,6 +295,27 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestScaledLogSums:
+    """The window rows are the per-outcome r*log(x + y) they replaced."""
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (6, 0), (0, 9), (40, 60), (3000, 17)])
+    @pytest.mark.parametrize("r", [1.0, 2.5])
+    def test_rows_match_per_outcome_log(self, n, m, r):
+        window = _scaled_log_sums(n, m, r)
+        assert window.shape == (n + 1, m + 1)
+        for x in (0, n):  # the first row holds t = 0, read as t = 1
+            want = np.array([r * np.log(float(max(x + y, 1))) for y in range(m + 1)])
+            assert_same_bits(window[x], want)
+        assert window[0, 0].view(np.uint64) == 0  # +0.0 at t = 0
+
+    def test_rows_match_the_statistic_logs(self):
+        n, m = 40, 60
+        t = np.add(np.arange(n + 1)[:, None], np.arange(m + 1)[None, :],
+                   dtype=np.float64)
+        t[0, 0] = 1.0
+        assert_same_bits(np.ascontiguousarray(_scaled_log_sums(n, m, 1.0)), np.log(t))
+
+
 class TestLogFactorials:
     """The table is bit for bit scipy's gammaln(k + 1), the reference it replaced."""
 
@@ -320,6 +366,10 @@ class TestSkippedExp:
         (700, 800, 0.5, 1.0, Regime.case_ii(None), True),
         (700, 800, 0.5, 1.0, None, True),
         (1500, 600, 0.5, 0.0, None, True),  # r = 0: the raw path, R = X^s
+        # most blocks have no column whose probability can be nonzero
+        (20000, 300, 0.01, 1.0, Regime.case_ii(None), False),
+        # raw, support kept: the x = 0 row and t = x + y = 0 are compared too
+        (700, 800, 0.3, 2.0, None, True),
     ])
     def test_bitwise_equal_to_full_exp(self, n, m, p, r, regime, keep_support):
         s = 2.0

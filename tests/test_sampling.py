@@ -288,6 +288,18 @@ class TestKernelMatchesReference:
                 reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
             )
 
+    def test_given_log_sum_is_only_read_and_changes_no_bit(self):
+        # as the oracle passes it: a read-only window over one table of r*log(t)
+        xs, ys = np.arange(121), np.arange(81)
+        table = np.log(np.maximum(np.arange(201), 1), dtype=np.float64) * self.LAW.r
+        window = np.lib.stride_tricks.sliding_window_view(table, 81)
+        for lo, hi in [(0, 40), (40, 121)]:  # x = 0 and x + y = 0 in the first
+            assert_bitwise(
+                standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
+                                       r_log_sum=window[lo:hi]),
+                reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
+            )
+
     @pytest.mark.parametrize(
         "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
                  (np.array([np.nan, -1.0]), np.array([1.0, 1.0]))]
