@@ -308,13 +308,6 @@ class TestScaledLogSums:
             assert_same_bits(window[x], want)
         assert window[0, 0].view(np.uint64) == 0  # +0.0 at t = 0
 
-    def test_rows_match_the_statistic_logs(self):
-        n, m = 40, 60
-        t = np.add(np.arange(n + 1)[:, None], np.arange(m + 1)[None, :],
-                   dtype=np.float64)
-        t[0, 0] = 1.0
-        assert_same_bits(np.ascontiguousarray(_scaled_log_sums(n, m, 1.0)), np.log(t))
-
 
 class TestLogFactorials:
     """The table is bit for bit scipy's gammaln(k + 1), the reference it replaced."""
