@@ -72,7 +72,12 @@ def _scaled_gradient(f: float, x: float, y: float, r: float, s: float):
     the scaled one (``scaled_remainder_samples``).
     """
     t = x + y
-    return f * (s * t - r * x) / (x * t), -f * r / t
+    try:
+        return f * (s * t - r * x) / (x * t), -f * r / t
+    except ZeroDivisionError:
+        raise ParameterError(
+            f"gradient at ({x!r}, {y!r}) divides by x*(x+y), which underflows to 0"
+        ) from None
 
 
 def gradient(pt: Point2, r: float, s: float) -> tuple[float, float]:

@@ -153,6 +153,10 @@ def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
         raise ParameterError(
             f"balanced variance overflows at s={s!r}, r={r!r}, alpha={alpha!r}"
         ) from None
+    if num == 0:
+        raise ParameterError(
+            f"balanced variance underflows to 0 at s={s!r}, r={r!r}, alpha={alpha!r}"
+        )
     # (1 + alpha)^(2(r+1)) can overflow on its own at large alpha even though
     # the ratio is tame, so keep the alpha-dependent factor in log space
     log_ratio = math.log(num) - 2 * (r + 1) * math.log1p(alpha)
@@ -161,7 +165,12 @@ def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
 
 def light_denominator_variance(p: float, s: float, r: float) -> float:
     """Limiting variance when m/n -> 0; degenerates to 0 at r = s."""
-    return _prefactor(p, s, r) * (s - r) ** 2
+    try:
+        return _prefactor(p, s, r) * (s - r) ** 2
+    except OverflowError:
+        raise ParameterError(
+            f"light-denominator variance (s-r)^2 overflows at s={s!r}, r={r!r}"
+        ) from None
 
 
 def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:

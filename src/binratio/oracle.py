@@ -21,23 +21,18 @@ its rows of the window to ``standardized_statistic`` (or, for R, subtracts
 them from s*log(x)), so it takes one subtraction per outcome and no log,
 and the statistic is bit for bit the one formed from the counts.
 
-Underflow rule: exp is skipped only for outcomes whose log-probability is
-below EXP_ZERO_BELOW, where it would return +0.0 anyway, so those outcomes
-weigh exactly +0.0 and every output is the same as with exp everywhere.
-Because float addition rounds monotonically, a column of a block is +0.0 in
-every row when its log-probability plus the block's largest x
-log-probability is below the cut-off; exp runs only on the range from the
-first to the last other (live) column. The statistic and the sums still span
-whole rows, so the sums group their terms as before, and a statistic that
-overflows at an outcome of probability +0.0 still makes the moments NaN. A
-block without a live column skips exp and the sums: its rows weigh +0.0, and
-their moments are +0.0, or NaN where T or T**2 is not finite, exactly what
-the sums give. Subnormal probabilities above the cut-off are computed and
-kept, never flushed to zero; they are what exp still costs most: numpy's exp
-took about 160 ns per subnormal result against 1.3 ns per normal one (2
-vCPUs, numpy 2.4.6), and 2.4% of the outcomes at (1600, 2400), p = 0.5, are
-subnormal. Moments that are not finite (a statistic that overflows a float)
-raise ParameterError.
+Underflow rule: in every block, exp runs only on the outcomes whose
+log-probability is not below EXP_ZERO_BELOW; below it exp would return
++0.0 anyway, so those outcomes weigh exactly +0.0 and every output is the
+same as with exp everywhere. The statistic and the sums span whole rows, so
+the sums group their terms as before, and a statistic (or its square) that
+is not finite at an outcome of probability +0.0 still makes the moments NaN.
+Subnormal probabilities above the cut-off are computed and kept, never
+flushed to zero; they are what exp still costs most: numpy's exp took about
+160 ns per subnormal result against 1.3 ns per normal one (2 vCPUs, numpy
+2.4.6), and 2.4% of the outcomes at (1600, 2400), p = 0.5, are subnormal.
+Moments that are not finite (a statistic that overflows a float) raise
+ParameterError.
 """
 
 from __future__ import annotations
@@ -165,22 +160,24 @@ def _enumerate_moments(
     ys = np.arange(m + 1)
     lpx = _log_binom_pmf(xs, n, p)
     lpy = _log_binom_pmf(ys, m, p)
-    r_log_t = _scaled_log_sums(n, m, r)
-    if law is None:
-        # Unstandardized R, with s*log(x) from math.log once per stratum;
-        # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
-        s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
 
     # One pass over blocks of whole x-strata, each reduced to its weight, first
     # moment and second moment about its own mean; the strata are then
     # combined in stratum order with fsum (Chan, Golub & LeVeque 1983).
     keep = keep_support and outcomes <= SUPPORT_LIMIT
     sup_v = np.empty(outcomes) if keep else None
-    sup_p = np.zeros(outcomes) if keep else None  # blocks without exp stay +0.0
+    sup_p = np.empty(outcomes) if keep else None
     w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))  # mu = 0 where w = 0
     rows = max(1, BLOCK_OUTCOMES // (m + 1))
     # beyond float range the moments are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
+        r_log_t = _scaled_log_sums(n, m, r)
+        if law is None:
+            # Unstandardized R, with s*log(x) from glibc's log (math.log);
+            # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
+            s_log_x = np.full(n + 1, -math.inf)
+            log_x = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
+            np.multiply(log_x, s, out=s_log_x[1:])
         for lo in range(0, n + 1, rows):
             hi = min(lo + rows, n + 1)
             block = slice(lo * (m + 1), hi * (m + 1))
@@ -193,23 +190,9 @@ def _enumerate_moments(
                 )
             if keep:
                 sup_v[block] = val.ravel()
-            # Float addition rounds monotonically, so a column whose lpy plus
-            # the block's largest lpx is below the cut-off is +0.0 in every
-            # row; exp runs only from the first to the last other (live)
-            # column. NaN counts as live and goes through exp.
-            live = np.flatnonzero(~(lpy + lpx[lo:hi].max() < EXP_ZERO_BELOW))
-            if not live.size:
-                # Every weight is +0.0, and so is each row's sum unless one of
-                # its terms is not finite (0 * inf is NaN): mu = 0 here, so the
-                # terms are 0 * T and 0 * T**2.
-                pv[lo:hi][~np.isfinite(val).all(axis=1)] = math.nan
-                np.square(val, out=val)
-                m2[lo:hi][~np.isfinite(val).all(axis=1)] = math.nan
-                continue
-            prob = np.zeros((hi - lo, m + 1))
-            a, b = live[0], live[-1] + 1
-            arg = lpx[lo:hi, None] + lpy[None, a:b]
-            np.exp(arg, out=prob[:, a:b], where=~(arg < EXP_ZERO_BELOW))
+            arg = lpx[lo:hi, None] + lpy[None, :]
+            prob = np.zeros_like(arg)
+            np.exp(arg, out=prob, where=~(arg < EXP_ZERO_BELOW))
             if keep:
                 sup_p[block] = prob.ravel()
             # reductions over whole rows: their grouping depends on position
@@ -219,9 +202,12 @@ def _enumerate_moments(
             val -= mu[lo:hi, None]
             np.square(val, out=val)
             m2[lo:hi] = np.einsum("ij,ij->i", prob, val)
-        total = math.fsum(w)
-        mean = math.fsum(pv)
-        variance = math.fsum(m2 + w * (mu - mean) ** 2)
+        # exact zeros leave fsum's exact sum as it is (+0.0 when all are
+        # zero), and most strata of a lopsided pair weigh +0.0
+        total = math.fsum(w[w != 0])
+        mean = math.fsum(pv[pv != 0])
+        terms = m2 + w * (mu - mean) ** 2
+        variance = math.fsum(terms[terms != 0])
     if not all(map(math.isfinite, (mean, variance, total))):
         raise ParameterError(
             f"exact moments are not finite at n={n}, m={m}, p={p!r}, s={s!r}, "

@@ -260,8 +260,10 @@ def run_bound_diagnostics(
     _check_memory(samples * _BOUND_SAMPLE_BYTES, f"{samples} samples")
     law = limit_law(params, regime)
     x, y = draw_counts(params, samples, seed)
-    scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
-    q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
+    # beyond float range the quantiles are inf or NaN, unwarned: checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
+        q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
     row = BoundDiagnosticsRow(
         bound=scaled_remainder_bound(params, regime, law),
         q50=float(q50),

@@ -93,6 +93,11 @@ class TestGradient:
         gx, _ = gradient(Point2(3, 1), r=4.0, s=3.0)
         assert gx == pytest.approx(0.0, abs=1e-15)
 
+    def test_underflowing_denominator_is_parameter_error(self):
+        # x*(x+y) = 2e-400 is 0 as a float, though x and x + y are positive
+        with pytest.raises(ParameterError, match="underflows to 0"):
+            gradient(Point2(1e-200, 1e-200), r=1.0, s=1e-300)
+
     def test_matches_finite_differences_single(self):
         pt = Point2(2, 3)
         an = gradient(pt, r=3.0, s=2.0)

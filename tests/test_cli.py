@@ -1,11 +1,17 @@
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import binratio
 from binratio import ModelParams, Regime, exact_distribution, runner, sampling
@@ -540,3 +546,77 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["variance"] == "0"
+
+
+# p, s and r reach the ends of the float range: subnormals, the smallest
+# normal, 1e-300, 1e155 (whose square overflows) and 1e308
+EDGE_REALS = (5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-16,
+              0.5, 1.0, 2.0, 15.0, 300.0, 1e155, 1e300, 1e308)
+EDGE_PROBABILITIES = (5e-324, 1e-320, 1e-300, 1e-16, 0.01, 0.5, 0.999, 1 - 2**-53)
+REGIMES = ("case1", "case2", "case3", "collapse")
+# a printed number, or a non-finite float as repr or json would print it
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|Infinity|nan|NaN)\b")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("limit", "simulate", "oracle", "bound")))
+    if command == "oracle":
+        sizes = st.integers(1, 60)  # every outcome is enumerated
+    else:
+        sizes = st.one_of(st.integers(1, 100), st.integers(1, 2**63 + 1))
+    reals = st.one_of(st.sampled_from(EDGE_REALS), st.floats(min_value=0.0))
+    probabilities = st.one_of(st.sampled_from(EDGE_PROBABILITIES),
+                              st.floats(0.0, 1.0))
+    argv = [command, "--n", str(draw(sizes)), "--m", str(draw(sizes)),
+            "--p", repr(draw(probabilities)),
+            "--s", repr(draw(reals)), "--r", repr(draw(reals))]
+    regime = draw(st.sampled_from(REGIMES + ((None,) if command == "oracle" else ())))
+    if regime is not None:
+        argv += ["--regime", regime]
+    if command in ("simulate", "bound"):
+        argv += ["--samples", str(draw(st.integers(1, 200)))]
+    return argv
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; a warning counts as stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return code, out.getvalue(), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+# (s - r)**2 overflows in the case 3 variance
+@example(argv=["limit", "--n", "1000", "--m", "10", "--p", "0.5", "--s", "1e300",
+               "--r", "1", "--regime", "case3"])
+# the numerator of the balanced variance underflows to 0 before its log
+@example(argv=["oracle", "--n", "2", "--m", "300", "--p", "0.5", "--s", "1e-320",
+               "--r", "1e-300", "--regime", "case2"])
+@example(argv=["bound", "--n", "16", "--m", "3", "--p", "1e-300", "--s", "1e-300",
+               "--r", "1e-320", "--regime", "case2", "--samples", "1"])
+# x*(x+y) at the mean point underflows to 0 in the gradient
+@example(argv=["bound", "--n", "16", "--m", "2000000000", "--p", "1e-300",
+               "--s", "1e-300", "--r", "1e-160", "--regime", "collapse",
+               "--samples", "1000"])
+# numpy's quantile warns on a sample holding inf
+@example(argv=["bound", "--n", "1", "--m", "242629059", "--p", "0.01",
+               "--s", "2001000000.0", "--r", "2001000000.0", "--regime", "case1",
+               "--samples", "31"])
+# r*log(t) overflows in the raw oracle's table, where R is then 0
+@example(argv=["oracle", "--n", "2", "--m", "16", "--p", "0.5", "--s", "1",
+               "--r", "1e308"])
+def test_any_input_gives_finite_output_or_one_error_line(argv):
+    code, out, err_lines = run_in_process(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    else:
+        assert err_lines == []
+        assert all(math.isfinite(float(v)) for v in NUMBER.findall(out))

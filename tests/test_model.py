@@ -87,7 +87,9 @@ class TestLimitLaw:
         (ModelParams(n=1, m=1, p=1e-300, s=30.0, r=1.0), Regime.case_iii()),
         # (1 + alpha)^-(2(r+1)) underflows at alpha = 1e150
         (ModelParams(n=10, m=10, p=0.5, s=2.0, r=2.0), Regime.case_ii(1e150)),
-    ], ids=["prefactor", "balanced_alpha"])
+        # (s(1 + alpha) - r)^2 + alpha r^2 underflows to 0 before its log
+        (ModelParams(n=2, m=300, p=0.5, s=1e-320, r=1e-300), Regime.case_ii(None)),
+    ], ids=["prefactor", "balanced_alpha", "balanced_numerator"])
     def test_underflowing_variance_is_parameter_error(self, params, regime):
         with pytest.raises(ParameterError, match="underflows to 0"):
             limit_law(params, regime)
@@ -147,6 +149,10 @@ class TestLimitLaw:
             params = ModelParams(n=100, m=100, p=0.5, s=s, r=r)
             with pytest.raises(ParameterError, match="overflows"):
                 limit_law(params, Regime.case_ii(alpha))
+        # and (s - r)^2 of the light-denominator variance
+        params = ModelParams(n=1000, m=10, p=0.5, s=1e300, r=1.0)
+        with pytest.raises(ParameterError, match="overflows"):
+            limit_law(params, Regime.case_iii())
 
 
 class TestVarianceConsistency:
