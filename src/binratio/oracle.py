@@ -160,6 +160,10 @@ def _enumerate_moments(
     ys = np.arange(m + 1)
     lpx = _log_binom_pmf(xs, n, p)
     lpy = _log_binom_pmf(ys, m, p)
+    if law is None:
+        # Unstandardized R, with s*log(x) from math.log once per stratum;
+        # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
+        s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
 
     # One pass over blocks of whole x-strata, each reduced to its weight, first
     # moment and second moment about its own mean; the strata are then
@@ -172,12 +176,6 @@ def _enumerate_moments(
     # beyond float range the moments are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
         r_log_t = _scaled_log_sums(n, m, r)
-        if law is None:
-            # Unstandardized R, with s*log(x) from glibc's log (math.log);
-            # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
-            s_log_x = np.full(n + 1, -math.inf)
-            log_x = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
-            np.multiply(log_x, s, out=s_log_x[1:])
         for lo in range(0, n + 1, rows):
             hi = min(lo + rows, n + 1)
             block = slice(lo * (m + 1), hi * (m + 1))
@@ -202,12 +200,9 @@ def _enumerate_moments(
             val -= mu[lo:hi, None]
             np.square(val, out=val)
             m2[lo:hi] = np.einsum("ij,ij->i", prob, val)
-        # exact zeros leave fsum's exact sum as it is (+0.0 when all are
-        # zero), and most strata of a lopsided pair weigh +0.0
-        total = math.fsum(w[w != 0])
-        mean = math.fsum(pv[pv != 0])
-        terms = m2 + w * (mu - mean) ** 2
-        variance = math.fsum(terms[terms != 0])
+        total = math.fsum(w)
+        mean = math.fsum(pv)
+        variance = math.fsum(m2 + w * (mu - mean) ** 2)
     if not all(map(math.isfinite, (mean, variance, total))):
         raise ParameterError(
             f"exact moments are not finite at n={n}, m={m}, p={p!r}, s={s!r}, "
