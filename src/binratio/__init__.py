@@ -18,7 +18,7 @@ from .divergence import (
     compare_batches,
     kl_divergence,
 )
-from .oracle import ExactDistribution, exact_distribution, exact_vs_theory_convergence
+from .oracle import ExactDistribution, exact_distribution
 from .runner import (
     SweepSpec,
     preset,
@@ -53,7 +53,6 @@ __all__ = [
     "kl_divergence",
     "ExactDistribution",
     "exact_distribution",
-    "exact_vs_theory_convergence",
     "SweepSpec",
     "preset",
     "run_bound_diagnostics",

@@ -290,9 +290,19 @@ def _cmd_bound(args) -> None:
     _write("\n".join(lines) + "\n", args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line and exit 2.
+
+    ``add_subparsers`` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache  # parsing does not change the parser; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="binratio",
         description="Simulation lab for the limiting Normal law of "
         "X^s/(X+Y)^r with Binomial X, Y.",

@@ -6,11 +6,11 @@ sorts each sample once; the pooled range comes from the sorted ends
 (``common_bins``) and every bin boundary from one binary search of the same
 sorted values (``histogram``). The functions take plain arrays;
 ``common_bins`` and ``histogram`` take them already sorted and, like
-``np.searchsorted``, do not check the order. When the simulated
-statistic degenerates (all draws in one bin), the forward divergence is
-uninformative and the reversed direction is used instead. Every comparison
-names its direction; the runner, which holds the regime, picks reversed for
-the collapse regime and forward otherwise.
+``np.searchsorted``, do not check the order. Every comparison names its
+direction, and nothing here chooses it from the samples. The runner picks
+it from the regime alone: reversed under the collapse regime, whose limit
+is a point mass that makes the forward divergence uninformative, and
+forward otherwise.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ ParameterError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,9 +51,7 @@ __all__ = [
     "ENUMERATION_BUDGET",
     "SUPPORT_LIMIT",
     "ExactDistribution",
-    "ConvergenceRow",
     "exact_distribution",
-    "exact_vs_theory_convergence",
 ]
 
 ENUMERATION_BUDGET = 10**8
@@ -147,8 +145,7 @@ def _scaled_log_sums(n: int, m: int, r: float) -> np.ndarray:
 
 
 def _enumerate_moments(
-    n: int, m: int, p: float, s: float, r: float, law: LimitLaw | None,
-    keep_support: bool,
+    n: int, m: int, p: float, s: float, r: float, law: LimitLaw | None
 ) -> ExactDistribution:
     outcomes = (n + 1) * (m + 1)
     if outcomes > ENUMERATION_BUDGET:
@@ -168,7 +165,7 @@ def _enumerate_moments(
     # One pass over blocks of whole x-strata, each reduced to its weight, first
     # moment and second moment about its own mean; the strata are then
     # combined in stratum order with fsum (Chan, Golub & LeVeque 1983).
-    keep = keep_support and outcomes <= SUPPORT_LIMIT
+    keep = outcomes <= SUPPORT_LIMIT
     sup_v = np.empty(outcomes) if keep else None
     sup_p = np.empty(outcomes) if keep else None
     w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))  # mu = 0 where w = 0
@@ -223,53 +220,8 @@ def exact_distribution(
 ) -> ExactDistribution:
     """Exact distribution of R, or of T under ``regime``'s law when one is given.
 
-    The support is kept while there are at most ``SUPPORT_LIMIT`` outcomes.
+    The support is kept exactly when there are at most ``SUPPORT_LIMIT``
+    outcomes; above that ``values`` and ``probabilities`` are None.
     """
     law = None if regime is None else limit_law(params, regime)
-    return _enumerate_moments(
-        params.n, params.m, params.p, params.s, params.r, law, keep_support=True
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    scale_factor: int
-    n: int
-    m: int
-    exact_variance: float
-    theory_variance: float
-    relative_error: float
-
-
-def exact_vs_theory_convergence(
-    base_params: ModelParams, regime: Regime, scale_factors
-) -> list[ConvergenceRow]:
-    """Exact standardized variance vs the limit-law variance across sizes.
-
-    Each scale factor k enumerates the model at (k*n, k*m); the relative
-    error column is expected to shrink as k grows (degenerate zero-variance
-    laws fall back to reporting the raw exact variance).
-    """
-    rows = []
-    for k in scale_factors:
-        k = int(k)
-        params = replace(base_params, n=base_params.n * k, m=base_params.m * k)
-        law = limit_law(params, regime)
-        dist = _enumerate_moments(
-            params.n, params.m, params.p, params.s, params.r, law, keep_support=False
-        )
-        if law.variance > 0:
-            rel = abs(dist.variance - law.variance) / law.variance
-        else:
-            rel = dist.variance  # absolute scale; must itself shrink
-        rows.append(
-            ConvergenceRow(
-                scale_factor=k,
-                n=params.n,
-                m=params.m,
-                exact_variance=dist.variance,
-                theory_variance=law.variance,
-                relative_error=rel,
-            )
-        )
-    return rows
+    return _enumerate_moments(params.n, params.m, params.p, params.s, params.r, law)

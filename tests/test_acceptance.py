@@ -11,25 +11,24 @@ import time
 import warnings
 
 import numpy as np
+from delta_method import (
+    fd_gradient,
+    fd_hessian,
+    gerschgorin_norm_bound,
+    gradient,
+    hessian,
+    spectral_norm_2x2,
+)
 
 from binratio import (
     ModelParams,
     Regime,
     draw_counts,
-    exact_vs_theory_convergence,
+    exact_distribution,
     limit_law,
     standardized_statistic,
 )
-from binratio.calculus import (
-    Hessian2,
-    Point2,
-    eval_f,
-    gerschgorin_norm_bound,
-    gradient,
-    hessian,
-    scaled_remainder_samples,
-    spectral_norm_2x2,
-)
+from binratio.calculus import scaled_remainder_samples
 from binratio.runner import preset, run_sweep
 from binratio.sampling import (
     SeedSpec,
@@ -115,10 +114,13 @@ def test_criterion_3_degeneracy_spike(capsys):
 
 def test_criterion_4_oracle_convergence(capsys):
     start = time.perf_counter()
-    base = ModelParams(n=40, m=60, p=0.5, s=2.0, r=1.0)
-    rows = exact_vs_theory_convergence(base, Regime.case_ii(1.5), [1, 4, 16])
+    regime = Regime.case_ii(1.5)
+    errs = []
+    for k in (1, 4, 16):
+        params = ModelParams(n=40 * k, m=60 * k, p=0.5, s=2.0, r=1.0)
+        want = limit_law(params, regime).variance
+        errs.append(abs(exact_distribution(params, regime).variance - want) / want)
     elapsed = time.perf_counter() - start
-    errs = [row.relative_error for row in rows]
     ok = errs[0] >= errs[1] >= errs[2] and errs[-1] < 0.05 and elapsed < 60.0
     report(
         capsys, 4, ok,
@@ -128,51 +130,26 @@ def test_criterion_4_oracle_convergence(capsys):
     )
 
 
-def _fd_gradient(pt, r, s):
-    out = []
-    for i in range(2):
-        h = 1e-6 * pt[i]
-        hi, lo = list(pt), list(pt)
-        hi[i] += h
-        lo[i] -= h
-        out.append((eval_f(Point2(*hi), r, s) - eval_f(Point2(*lo), r, s)) / (2 * h))
-    return out
-
-
-def _fd_hessian(pt, r, s):
-    cols = []
-    for i in range(2):
-        h = 1e-6 * pt[i]
-        hi, lo = list(pt), list(pt)
-        hi[i] += h
-        lo[i] -= h
-        ghi = gradient(Point2(*hi), r, s)
-        glo = gradient(Point2(*lo), r, s)
-        cols.append(((ghi[0] - glo[0]) / (2 * h), (ghi[1] - glo[1]) / (2 * h)))
-    return Hessian2(fxx=cols[0][0], fxy=0.5 * (cols[0][1] + cols[1][0]),
-                    fyy=cols[1][1])
-
-
 def test_criterion_5_calculus_suite(capsys):
     rng = np.random.default_rng(MASTER_SEED)
 
     grad_err = 0.0
     hess_err = 0.0
     for _ in range(100):
-        pt = Point2(*rng.uniform(0.5, 10.0, 2))
+        pt = tuple(rng.uniform(0.5, 10.0, 2))
         r, s = rng.uniform(0.5, 8.0, 2)
         g = gradient(pt, r, s)
-        fd_g = _fd_gradient(pt, r, s)
+        fd_g = fd_gradient(pt, r, s)
         norm = math.hypot(*g)
         grad_err = max(grad_err, max(abs(a - b) for a, b in zip(g, fd_g)) / norm)
         h = hessian(pt, r, s)
-        fd_h = _fd_hessian(pt, r, s)
+        fd_h = fd_hessian(pt, r, s)
         h_norm = spectral_norm_2x2(h)
         hess_err = max(hess_err, max(abs(a - b) for a, b in zip(h, fd_h)) / h_norm)
 
     violations = 0
     for _ in range(1000):
-        pt = Point2(*rng.uniform(0.5, 10.0, 2))
+        pt = tuple(rng.uniform(0.5, 10.0, 2))
         r, s = rng.uniform(0.5, 30.0, 2)
         h = hessian(pt, r, s)
         if gerschgorin_norm_bound(h) < spectral_norm_2x2(h) * (1 - 1e-12):

@@ -585,7 +585,10 @@ def run_in_process(argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the parser rejected argv or printed --help
+                code = exc.code
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     return code, out.getvalue(), lines
 
@@ -611,6 +614,16 @@ def run_in_process(argv):
 # r*log(t) overflows in the raw oracle's table, where R is then 0
 @example(argv=["oracle", "--n", "2", "--m", "16", "--p", "0.5", "--s", "1",
                "--r", "1e308"])
+# the parser's own errors: a malformed int, a bad choice, an unknown flag and
+# no subcommand; --help still exits 0
+@example(argv=["oracle", "--n", "abc", "--m", "2", "--p", "0.5", "--s", "1",
+               "--r", "1"])
+@example(argv=["sweep", "--preset", "fig9z"])
+@example(argv=["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1",
+               "--r", "1", "--regime", "case2", "--bogus", "1"])
+@example(argv=[])
+@example(argv=["--help"])
+@example(argv=["oracle", "--help"])
 def test_any_input_gives_finite_output_or_one_error_line(argv):
     code, out, err_lines = run_in_process(argv)
     assert code in (0, 2, 3)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from binratio import (
     ParameterError,
     Regime,
     exact_distribution,
-    exact_vs_theory_convergence,
     limit_law,
     simulate_batch,
 )
@@ -69,7 +69,7 @@ def two_pass_reference(n, m, p, s, r, law):
     )
 
 
-def full_exp_reference(n, m, p, s, r, law, keep_support):
+def full_exp_reference(n, m, p, s, r, law):
     """The blocked enumeration as it was before exp skipped outcomes it rounds to 0."""
     outcomes = (n + 1) * (m + 1)
     xs = np.arange(n + 1)
@@ -78,7 +78,7 @@ def full_exp_reference(n, m, p, s, r, law, keep_support):
     lpy = _log_binom_pmf(ys, m, p)
     if law is None:
         s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
-    keep = keep_support and outcomes <= SUPPORT_LIMIT
+    keep = outcomes <= SUPPORT_LIMIT
     sup_v = np.empty(outcomes) if keep else None
     sup_p = np.empty(outcomes) if keep else None
     w, pv, mu, m2 = (np.zeros(n + 1) for _ in range(4))
@@ -144,9 +144,9 @@ class TestExactDistribution:
 
     def test_zero_exponent_diagnostic_path(self):
         # r = 0 makes R = X, whose mean is n p
-        dist = _enumerate_moments(1, 1, 0.5, 1.0, 0.0, None, True)
+        dist = _enumerate_moments(1, 1, 0.5, 1.0, 0.0, None)
         assert dist.mean == pytest.approx(0.5, rel=1e-12)
-        dist2 = _enumerate_moments(10, 5, 0.3, 1.0, 0.0, None, True)
+        dist2 = _enumerate_moments(10, 5, 0.3, 1.0, 0.0, None)
         assert dist2.mean == pytest.approx(3.0, rel=1e-12)
         assert dist2.variance == pytest.approx(10 * 0.3 * 0.7, rel=1e-12)
 
@@ -207,26 +207,49 @@ class TestExactDistribution:
         with pytest.raises(BudgetError):
             exact_distribution(params)
 
+    # (999 + 1)(999 + 1) is SUPPORT_LIMIT outcomes exactly; one more column
+    # is past it, and only the moments are returned
+    @pytest.mark.parametrize("m, kept", [(999, True), (1000, False)])
+    def test_support_kept_up_to_the_limit(self, m, kept):
+        n, p, s, r = 999, 0.5, 2.0, 1.0
+        params = ModelParams(n=n, m=m, p=p, s=s, r=r)
+        regime = Regime.case_ii(None)
+        got = exact_distribution(params, regime)
+        want = full_exp_reference(n, m, p, s, r, limit_law(params, regime))
+        for key in ("mean", "variance", "probability_total"):
+            assert getattr(got, key) == getattr(want, key), key
+        if kept:
+            assert len(got.values) == len(got.probabilities) == SUPPORT_LIMIT
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        else:
+            assert got.values is None and got.probabilities is None
+
+
+def variances(base, regime, factors):
+    """(exact, limit-law) variance of T at (k n, k m) for each factor k."""
+    out = []
+    for k in factors:
+        params = replace(base, n=base.n * k, m=base.m * k)
+        law = limit_law(params, regime)
+        out.append((exact_distribution(params, regime).variance, law.variance))
+    return out
+
 
 class TestConvergence:
     def test_relative_error_decreases(self):
         base = ModelParams(n=50, m=50, p=0.5, s=1.0, r=1.0)
-        rows = exact_vs_theory_convergence(base, Regime.case_ii(1.0), [1, 4, 16])
-        errs = [row.relative_error for row in rows]
+        rows = variances(base, Regime.case_ii(1.0), [1, 4, 16])
+        errs = [abs(exact - law) / law for exact, law in rows]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_first_row_matches_direct_enumeration(self):
-        base = ModelParams(n=50, m=50, p=0.5, s=1.0, r=1.0)
-        regime = Regime.case_ii(1.0)
-        rows = exact_vs_theory_convergence(base, regime, [1])
-        direct = exact_distribution(base, regime)
-        assert rows[0].exact_variance == direct.variance
-
-    def test_degenerate_law_reports_absolute_variance(self):
+    def test_degenerate_law_variance_shrinks(self):
+        # the limit law's variance is 0 at s = r under case 3, so the exact
+        # variance itself must shrink
         base = ModelParams(n=30, m=30, p=0.5, s=2.0, r=2.0)
-        rows = exact_vs_theory_convergence(base, Regime.case_iii(), [1, 4, 16])
-        assert all(row.theory_variance == 0.0 for row in rows)
-        vals = [row.relative_error for row in rows]
+        rows = variances(base, Regime.case_iii(), [1, 4, 16])
+        assert all(law == 0.0 for _, law in rows)
+        vals = [exact for exact, _ in rows]
         assert vals[0] > vals[1] > vals[2]
 
     def test_standardized_mean_shrinks(self):
@@ -244,23 +267,22 @@ class TestConvergence:
 class TestOnePassEquivalence:
     """The blocked one-pass enumeration against the two-pass reference."""
 
-    def check(self, n, m, p, s, r, regime=None, keep_support=True):
+    def check(self, n, m, p, s, r, regime=None):
         law = None
         if regime is not None:
             params = ModelParams(n=n, m=m, p=p, s=s, r=r)
             law = limit_law(params, regime)
-        got = _enumerate_moments(n, m, p, s, r, law, keep_support)
+        got = _enumerate_moments(n, m, p, s, r, law)
         want = two_pass_reference(n, m, p, s, r, law)
         assert_moments_close(got, want)
-        if keep_support:
+        if got.values is not None:
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.probabilities, want.probabilities)
         return got
 
     def test_benchmark_instance_matches_golden(self):
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["oracle_moments"][0]
-        got = self.check(1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None),
-                         keep_support=False)
+        got = self.check(1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None))
         for key, want in golden.items():
             assert getattr(got, key) == pytest.approx(float(want), rel=1e-12, abs=0)
 
@@ -281,7 +303,7 @@ class TestOnePassEquivalence:
     def test_underflowing_strata(self, p):
         lpx = _log_binom_pmf(np.arange(3001), 3000, p)
         assert np.count_nonzero(np.exp(lpx) == 0) > 0  # some strata have w_x = 0
-        self.check(3000, 2000, p, 2.0, 1.0, Regime.case_ii(None), keep_support=False)
+        self.check(3000, 2000, p, 2.0, 1.0, Regime.case_ii(None))
 
     def test_zero_exponent_raw_path(self):
         got = self.check(30, 20, 0.3, 1.0, 0.0)
@@ -352,19 +374,19 @@ class TestSkippedExp:
         assert np.isnan(np.exp(np.nan))
         assert np.exp(-745.0) > 0  # a subnormal result above the cut-off is kept
 
-    @pytest.mark.parametrize("n, m, p, r, regime, keep_support", [
-        (1600, 2400, 0.5, 1.0, Regime.case_ii(None), False),
-        (3000, 2000, 0.999, 1.0, Regime.case_ii(None), False),
-        (3000, 2000, 1e-6, 1.0, Regime.case_ii(None), False),
-        (700, 800, 0.5, 1.0, Regime.case_ii(None), True),
-        (700, 800, 0.5, 1.0, None, True),
-        (1500, 600, 0.5, 0.0, None, True),  # r = 0: the raw path, R = X^s
+    @pytest.mark.parametrize("n, m, p, r, regime", [
+        (1600, 2400, 0.5, 1.0, Regime.case_ii(None)),
+        (3000, 2000, 0.999, 1.0, Regime.case_ii(None)),
+        (3000, 2000, 1e-6, 1.0, Regime.case_ii(None)),
+        (700, 800, 0.5, 1.0, Regime.case_ii(None)),  # support kept
+        (700, 800, 0.5, 1.0, None),
+        (1500, 600, 0.5, 0.0, None),  # r = 0: the raw path, R = X^s
         # most blocks have no column whose probability can be nonzero
-        (20000, 300, 0.01, 1.0, Regime.case_ii(None), False),
+        (20000, 300, 0.01, 1.0, Regime.case_ii(None)),
         # raw, support kept: the x = 0 row and t = x + y = 0 are compared too
-        (700, 800, 0.3, 2.0, None, True),
+        (700, 800, 0.3, 2.0, None),
     ])
-    def test_bitwise_equal_to_full_exp(self, n, m, p, r, regime, keep_support):
+    def test_bitwise_equal_to_full_exp(self, n, m, p, r, regime):
         s = 2.0
         lpx = _log_binom_pmf(np.arange(n + 1), n, p)
         lpy = _log_binom_pmf(np.arange(m + 1), m, p)
@@ -372,11 +394,11 @@ class TestSkippedExp:
         law = None
         if regime is not None:
             law = limit_law(ModelParams(n=n, m=m, p=p, s=s, r=r), regime)
-        got = _enumerate_moments(n, m, p, s, r, law, keep_support)
-        want = full_exp_reference(n, m, p, s, r, law, keep_support)
+        got = _enumerate_moments(n, m, p, s, r, law)
+        want = full_exp_reference(n, m, p, s, r, law)
         for key in ("mean", "variance", "probability_total"):
             assert getattr(got, key) == getattr(want, key), key
-        if keep_support:
+        if (n + 1) * (m + 1) <= SUPPORT_LIMIT:
             assert got.values.tobytes() == want.values.tobytes()
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
         else:
