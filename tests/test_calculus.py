@@ -246,6 +246,14 @@ class TestScaledRemainderSamples:
         )
         assert sq[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_underflowing_denominator_is_parameter_error(self):
+        # x*(x+y) = 1.6e-299 * 2e-291 at (np, mp) is 0 as a float, though
+        # x and x + y are positive
+        params = ModelParams(n=16, m=2 * 10**9, p=1e-300, s=1e-300, r=1e-160)
+        law = limit_law(params, Regime.collapse())
+        with pytest.raises(ParameterError, match="underflows to 0"):
+            scaled_remainder_samples(params, law, np.array([1.0]), np.array([1.0]))
+
     @pytest.mark.parametrize("regime", [
         Regime.case_i(), Regime.case_ii(None), Regime.case_iii(), Regime.collapse(),
     ], ids=lambda regime: regime.kind.value)

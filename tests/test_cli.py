@@ -407,6 +407,38 @@ def test_underflowing_variance_exit_2(capsys, command, model):
     assert_one_line_error(*run_cli(argv, capsys), "underflows to 0")
 
 
+def run_parser(argv, capsys):
+    """Like ``run_cli`` for argument lists the parser itself ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--n", "abc", "--m", "2", "--p", "0.5", "--s", "1", "--r", "1"],
+     "argument --n: invalid int value: 'abc'"),
+    (["sweep", "--preset", "fig9z"], "argument --preset: invalid choice: 'fig9z'"),
+    (["limit", "--n", "10", "--m", "10", "--p", "0.5", "--s", "1", "--r", "1",
+      "--regime", "case2", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["oracle", "--n", "3"], "the following arguments are required: --m, --p, --s, --r"),
+    ([], "the following arguments are required: command"),
+], ids=["malformed_int", "bad_choice", "unknown_flag", "missing_flags", "no_command"])
+def test_parser_error_is_one_line_exit_2(capsys, argv, message):
+    assert_one_line_error(*run_parser(argv, capsys), message)
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: binratio [-h]"),
+    (["oracle", "--help"], "usage: binratio oracle [-h]"),
+], ids=["top_level", "subcommand"])
+def test_help_exits_0(capsys, argv, usage):
+    code, out, err = run_parser(argv, capsys)
+    assert code == 0
+    assert out.startswith(usage)
+    assert err == ""
+
+
 def test_one_parser_serves_every_command(capsys):
     # each command alone, on a freshly built parser
     alone = []
