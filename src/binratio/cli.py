@@ -15,6 +15,7 @@ All output is UTF-8 with LF line endings; floats carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -31,6 +32,7 @@ from .runner import (
     DEFAULT_BOUND_SAMPLES,
     DEFAULT_SAMPLES,
     PRESET_NAMES,
+    SWEEP_RUN_LIMIT,
     SweepSpec,
     preset,
     run_bound_diagnostics,
@@ -153,9 +155,7 @@ def _cmd_simulate(args) -> None:
 
 
 _SPEC_KEYS = ("base", "regime", "vary", "grid")
-_SPEC_OPTIONAL_KEYS = (
-    "replicates_per_point", "samples", "bins", "direction", "master_seed"
-)
+_SPEC_SETTINGS = ("replicates_per_point", "samples", "bins", "master_seed")
 
 
 def _spec_object(value, where: str, required, optional=()) -> dict:
@@ -171,11 +171,13 @@ def _spec_object(value, where: str, required, optional=()) -> dict:
     return value
 
 
-def _spec_number(obj: dict, key: str, where: str, default=None, kind=int):
-    """``obj[key]``, or ``default`` when absent, checked to be a non-bool ``kind``."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is int else "a number"
+def _spec_number(obj: dict, key: str, where: str, kind=int):
+    """``obj[key]``, checked to be a non-bool ``kind``, and finite unless ``int``."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind) or (
+        kind is not int and not abs(value) <= sys.float_info.max
+    ):
+        noun = "an integer" if kind is int else "a finite number"
         raise ParameterError(f"{where} {key!r} must be {noun}, got {value!r}")
     return value
 
@@ -189,7 +191,7 @@ def _spec_from_file(path: str) -> SweepSpec:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParameterError(f"spec {path!r} is not JSON: {exc}") from None
     where = f"spec {path!r}"
-    _spec_object(raw, where, _SPEC_KEYS, _SPEC_OPTIONAL_KEYS)
+    _spec_object(raw, where, _SPEC_KEYS, (*_SPEC_SETTINGS, "direction"))
     base = _spec_object(raw["base"], f"{where} base", ("n", "m", "p", "s", "r"))
     regime_raw = _spec_object(raw["regime"], f"{where} regime", ("kind",), ("alpha",))
     grid = raw["grid"]
@@ -198,31 +200,29 @@ def _spec_from_file(path: str) -> SweepSpec:
         lo = _spec_number(grid, "lo", f"{where} grid", kind=(int, float))
         hi = _spec_number(grid, "hi", f"{where} grid", kind=(int, float))
         steps = _spec_number(grid, "steps", f"{where} grid")
-        if steps < 1:
-            raise ParameterError(f"{where} grid 'steps' must be >= 1, got {steps}")
-        grid = list(np.linspace(lo, hi, steps))
+        if not 1 <= steps <= SWEEP_RUN_LIMIT:
+            raise ParameterError(
+                f"{where} grid 'steps' must be in [1, {SWEEP_RUN_LIMIT}], got {steps}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # ModelParams rejects inf, NaN
+            grid = np.linspace(lo, hi, steps).tolist()
     elif not isinstance(grid, list):
         raise ParameterError(f"{where} grid must be a JSON list or object")
     return SweepSpec(
         base=ModelParams(**base),
         regime=_parse_regime(regime_raw["kind"], regime_raw.get("alpha")),
         vary=raw["vary"],
-        grid=tuple(grid),
-        replicates_per_point=_spec_number(raw, "replicates_per_point", where, 1),
-        samples=_spec_number(raw, "samples", where, DEFAULT_SAMPLES),
-        bins=_spec_number(raw, "bins", where, DEFAULT_BIN_COUNT),
+        grid=grid,
         direction=_parse_direction(raw.get("direction", "auto")),
-        master_seed=_spec_number(raw, "master_seed", where, 0),
+        **{key: raw[key] for key in _SPEC_SETTINGS if key in raw},
     )
 
 
 def _cmd_sweep(args) -> None:
-    if (args.preset is None) == (args.spec is None):
-        raise ParameterError("provide exactly one of --preset or --spec")
     settings = {"samples": args.samples, "bins": args.bins, "master_seed": args.seed}
     settings = {key: value for key, value in settings.items() if value is not None}
     if args.preset is not None:
-        spec = preset(args.preset, **settings)
+        spec = dataclasses.replace(preset(args.preset), **settings)
     elif settings:
         raise ParameterError(
             "--samples, --bins and --seed do not apply with --spec; "
@@ -326,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = subs.add_parser("sweep", help="run a parameter sweep; CSV output")
-    p_sweep.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
-    p_sweep.add_argument("--spec", default=None, help="JSON sweep spec file")
+    source = p_sweep.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=list(PRESET_NAMES), default=None)
+    source.add_argument("--spec", default=None, help="JSON sweep spec file")
     # preset settings only; a spec file carries its own
     p_sweep.add_argument("--samples", type=int, default=None)
     p_sweep.add_argument("--bins", type=int, default=None)

@@ -13,6 +13,7 @@ to ~30 at trial counts up to ~2e9 stay representable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -53,9 +54,9 @@ class ModelParams:
             raise ParameterError(f"m must be a positive integer, got {self.m!r}")
         if not (isinstance(self.p, Real) and 0.0 < self.p < 1.0):
             raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not (isinstance(self.s, Real) and self.s > 0 and math.isfinite(self.s)):
+        if not (isinstance(self.s, Real) and 0 < self.s <= sys.float_info.max):
             raise ParameterError(f"s must be a positive real, got {self.s!r}")
-        if not (isinstance(self.r, Real) and self.r > 0 and math.isfinite(self.r)):
+        if not (isinstance(self.r, Real) and 0 < self.r <= sys.float_info.max):
             raise ParameterError(f"r must be a positive real, got {self.r!r}")
 
 
@@ -83,7 +84,7 @@ class Regime:
     def __post_init__(self) -> None:
         if self.kind is RegimeKind.BALANCED:
             if self.alpha is not None and not (
-                isinstance(self.alpha, Real) and 0 < self.alpha < math.inf
+                isinstance(self.alpha, Real) and 0 < self.alpha <= sys.float_info.max
             ):
                 raise RegimeError(
                     f"balanced regime needs alpha > 0 and finite, got {self.alpha!r}"

@@ -33,6 +33,7 @@ from .divergence import (
 from .errors import ParameterError
 from .model import ModelParams, Regime, RegimeKind, limit_law
 from .sampling import (
+    STREAMS_PER_RUN,
     SampleBatch,
     SeedSpec,
     check_trials,
@@ -44,7 +45,9 @@ from .sampling import (
 __all__ = [
     "DEFAULT_BOUND_SAMPLES",
     "DEFAULT_SAMPLES",
+    "MAX_THREADS",
     "RUN_MEMORY_BUDGET",
+    "SWEEP_RUN_LIMIT",
     "SweepSpec",
     "SweepRow",
     "SingleRunResult",
@@ -70,9 +73,13 @@ _BIN_BYTES = 640
 # ``bound`` grows by 39 to 40 bytes per sample, measured at 1e6 and 4e6
 # samples with n = 1e3 and 1e7; rounded up the same way.
 _BOUND_SAMPLE_BYTES = 48
-
-# Streams consumed per run: X draws, Y draws, Normal reference.
-_STREAMS_PER_RUN = 3
+# Largest sweep, in runs (grid points times replicates). Besides its runs, a
+# sweep's peak RSS grows by 650 bytes per run on one thread and 2150 on two
+# (tasks, futures, rows, CSV text), measured at 1e5 and 2e5 runs with
+# run_single stubbed: about 2 GiB at the limit, within RUN_MEMORY_BUDGET.
+SWEEP_RUN_LIMIT = 10**6
+# Most threads a sweep starts; each holds one run's arrays at a time.
+MAX_THREADS = 256
 
 
 def _check_run_size(samples: int, bins: int) -> None:
@@ -93,8 +100,8 @@ def _check_memory(need: int, what: str) -> None:
     """ParameterError if ``need`` bytes exceed ``RUN_MEMORY_BUDGET``."""
     if need > RUN_MEMORY_BUDGET:
         raise ParameterError(
-            f"{what} need about {need / 2**30:.3g} GiB, "
-            f"over the run memory budget of {RUN_MEMORY_BUDGET / 2**30:.3g} GiB"
+            f"{what} need about {need >> 30} GiB, "
+            f"over the run memory budget of {RUN_MEMORY_BUDGET >> 30} GiB"
         )
 
 
@@ -105,8 +112,8 @@ class SweepSpec:
     ``vary`` names the swept field of ModelParams ('p', 's', 'r', 'm', 'n');
     ``grid`` is the explicit list of values it takes. A BALANCED regime with
     alpha=None takes alpha = m/n at every grid point. ``direction``
-    None means the regime-based default. Every setting is checked here, so
-    an invalid one fails before any draw.
+    None means the regime-based default. Every setting is defaulted and
+    checked here alone, so an invalid one fails before any draw.
     """
 
     base: ModelParams
@@ -120,18 +127,22 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("replicates_per_point", "samples", "bins", "master_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParameterError(f"{key!r} must be an integer, got {value!r}")
         if self.vary not in ("p", "s", "r", "m", "n"):
             raise ParameterError(f"cannot vary {self.vary!r}")
-        if len(self.grid) == 0:
-            raise ParameterError("grid must be nonempty")
-        if self.replicates_per_point < 1:
-            raise ParameterError("replicates_per_point must be >= 1")
+        runs = len(self.grid) * self.replicates_per_point
+        if not 1 <= runs <= SWEEP_RUN_LIMIT:
+            raise ParameterError(f"a sweep holds 1 to {SWEEP_RUN_LIMIT} runs (grid "
+                                 f"points times replicates_per_point), got {runs}")
         _check_run_size(self.samples, self.bins)
         SeedSpec(self.master_seed)
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def params_at(self, value) -> ModelParams:
-        if self.vary in ("m", "n") and isinstance(value, Real) and math.isfinite(value):
+        if self.vary in ("m", "n") and isinstance(value, Real) and abs(value) < math.inf:
             value = int(round(value))  # anything else is left for ModelParams to reject
         return replace(self.base, **{self.vary: value})
 
@@ -175,7 +186,7 @@ def run_single(
     collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
     direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
     sim = simulate_batch(params, law, samples, seed)
-    ref = reference_normal_batch(law.variance, samples, seed.substream(2))
+    ref = reference_normal_batch(law.variance, samples, seed)
     report = compare_batches(sim.values, ref, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(report=report, simulated=sim, wall_time_ms=elapsed)
@@ -183,19 +194,13 @@ def run_single(
 
 def _point_seed(spec: SweepSpec, point: int, rep: int) -> SeedSpec:
     index = point * spec.replicates_per_point + rep
-    return SeedSpec(spec.master_seed, index * _STREAMS_PER_RUN)
+    return SeedSpec(spec.master_seed, index * STREAMS_PER_RUN)
 
 
 def _run_point(spec: SweepSpec, params: ModelParams, point: int, rep: int) -> SweepRow:
     seed = _point_seed(spec, point, rep)
-    result = run_single(
-        params,
-        spec.regime,
-        samples=spec.samples,
-        bins=spec.bins,
-        direction=spec.direction,
-        seed=seed,
-    )
+    result = run_single(params, spec.regime, samples=spec.samples, bins=spec.bins,
+                        direction=spec.direction, seed=seed)
     return SweepRow(
         varied_param=spec.vary,
         varied_value=float(spec.grid[point]),
@@ -215,8 +220,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     included), once before any simulation starts, so an invalid point fails
     fast. Results are independent of ``threads``.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads!r}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ParameterError(f"threads must be >= 1 and <= {MAX_THREADS}, got {threads}")
     points = [spec.params_at(value) for value in spec.grid]
     for params in points:
         check_trials(params)
@@ -326,13 +331,8 @@ _PRESET_SWEEPS = {
 PRESET_NAMES = tuple(sorted(_PRESET_SWEEPS))
 
 
-def preset(
-    name: str,
-    samples: int = DEFAULT_SAMPLES,
-    bins: int = DEFAULT_BIN_COUNT,
-    master_seed: int = 0,
-) -> SweepSpec:
-    """Look up a built-in sweep preset by name (fig1a .. fig4e)."""
+def preset(name: str) -> SweepSpec:
+    """The built-in sweep preset ``name`` (fig1a .. fig4e), at SweepSpec's defaults."""
     try:
         base_key, vary, grid_fn = _PRESET_SWEEPS[name]
     except KeyError:
@@ -346,12 +346,4 @@ def preset(
             stacklevel=2,
         )
     base, regime = _PRESET_BASES[base_key]
-    return SweepSpec(
-        base=base,
-        regime=regime,
-        vary=vary,
-        grid=grid_fn(),
-        samples=samples,
-        bins=bins,
-        master_seed=master_seed,
-    )
+    return SweepSpec(base=base, regime=regime, vary=vary, grid=grid_fn())

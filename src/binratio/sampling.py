@@ -7,15 +7,15 @@ work is split across threads. Binomial draws use numpy's exact sampler
 (inversion for small np, acceptance-rejection otherwise), whose cost per
 draw is bounded independent of n.
 
-Stream layout: ``draw_counts`` draws X from substream 0 of its SeedSpec and
-Y from substream 1; ``reference_normal_batch`` consumes the stream it is
-given directly (the runner hands it substream 2). Both draw from one
+Stream layout, owned here: a run consumes ``STREAMS_PER_RUN`` substreams of
+its SeedSpec. ``draw_counts`` draws X from substream 0 and Y from substream
+1, ``reference_normal_batch`` draws from substream 2. All draw from one
 Philox generator per thread, re-keyed for each stream: resetting the key,
 the counter and the output buffer through the bit generator's ``state``
-gives exactly the stream a fresh ``make_generator`` would, for a fraction
-of the cost of building one. ``make_generator`` builds a thread's
-generator at its first draw. A CLI command drops it when the command ends;
-a library caller's thread keeps it until the thread ends or until a
+gives exactly the stream a fresh ``make_generator`` would, for a fraction of
+the cost of building one. ``make_generator`` builds a thread's generator at
+its first draw. A CLI command drops it when the command ends; a library
+caller's thread keeps it until the thread ends or until a
 ``thread_generator_scope`` that caller opened closes. Streams never depend
 on this, because every draw re-keys the generator first.
 
@@ -38,6 +38,7 @@ from .errors import ParameterError
 from .model import LimitLaw, ModelParams
 
 __all__ = [
+    "STREAMS_PER_RUN",
     "SeedSpec",
     "SampleBatch",
     "make_generator",
@@ -78,6 +79,8 @@ def make_generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Substreams a run consumes: X draws, Y draws, Normal reference.
+STREAMS_PER_RUN = 3
 # The largest trial count Generator.binomial accepts: it reads n as int64.
 MAX_TRIALS = 2**63 - 1
 
@@ -259,11 +262,11 @@ def simulate_batch(
 
 
 def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> np.ndarray:
-    """``count`` iid N(0, variance) float64 draws from ``seed``; zeros at variance 0."""
+    """``count`` iid N(0, variance) draws from substream 2 of ``seed``; 0s at variance 0."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count!r}")
     if not (variance >= 0 and math.isfinite(variance)):
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:
         return np.zeros(count)
-    return _keyed_generator(seed).normal(0.0, math.sqrt(variance), size=count)
+    return _keyed_generator(seed.substream(2)).normal(0.0, math.sqrt(variance), size=count)

@@ -128,7 +128,8 @@ class TestSimulate:
     @pytest.mark.parametrize("size", [
         ["--samples", "1000000000000"],
         ["--samples", "100", "--bins", "1000000000000"],
-    ], ids=["samples", "bins"])
+        ["--samples", str(10**400)],  # the GiB it needs are no float
+    ], ids=["samples", "bins", "samples_beyond_float"])
     def test_over_memory_budget_exit_2_before_any_draw(self, capsys, monkeypatch, size):
         drawn = []
         monkeypatch.setattr(runner, "simulate_batch", lambda *a, **kw: drawn.append(a))
@@ -187,9 +188,13 @@ class TestSweep:
         assert lines[0] == SWEEP_CSV_HEADER
         assert len(lines) == 4
 
-    def test_requires_exactly_one_source(self, capsys):
-        code, _, _ = run_cli(["sweep"], capsys)
-        assert code == 2
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep"], "one of the arguments --preset --spec is required"),
+        (["sweep", "--preset", "fig3c", "--spec", "spec.json"],
+         "argument --spec: not allowed with argument --preset"),
+    ], ids=["neither", "both"])
+    def test_requires_exactly_one_source(self, capsys, argv, message):
+        assert_one_line_error(*run_parser(argv, capsys), message)
 
     def test_missing_spec_file_exit_2(self, capsys, tmp_path):
         argv = ["sweep", "--spec", str(tmp_path / "absent.json")]
@@ -233,11 +238,17 @@ class TestSweep:
             ({**SPEC, "grid": {"lo": "a", "hi": 2, "steps": 2}}, "'lo' must be"),
             ({**SPEC, "regime": {"kind": "case2", "alpha": "x"}}, "got 'x'"),
             ({**SPEC, "bins": None}, "'bins' must be an integer"),
+            ({**SPEC, "grid": {"lo": 0.1, "hi": 0.9, "steps": 10**11}},
+             "'steps' must be in [1, 1000000], got 100000000000"),
+            ({**SPEC, "replicates_per_point": 10**9}, "holds 1 to 1000000 runs"),
+            ({**SPEC, "grid": {"lo": 10**400, "hi": 2, "steps": 2}},
+             "'lo' must be a finite number"),
         ],
         ids=["list", "base-key", "top-key", "base-missing", "regime-str",
              "regime-key", "grid-missing", "direction", "p-str", "grid-str",
              "grid-m-str", "grid-n-nan", "samples-str", "samples-bool", "grid-int",
-             "steps-str", "steps-negative", "lo-str", "alpha-str", "bins-null"],
+             "steps-str", "steps-negative", "lo-str", "alpha-str", "bins-null",
+             "steps-over-limit", "runs-over-limit", "lo-huge-int"],
     )
     def test_strict_spec_exit_2(self, capsys, tmp_path, spec, message):
         spec_file = tmp_path / "spec.json"
@@ -657,6 +668,10 @@ def run_in_process(argv):
 @example(argv=["--help"])
 @example(argv=["oracle", "--help"])
 def test_any_input_gives_finite_output_or_one_error_line(argv):
+    assert_finite_output_or_one_error_line(argv)
+
+
+def assert_finite_output_or_one_error_line(argv):
     code, out, err_lines = run_in_process(argv)
     assert code in (0, 2, 3)
     if code:
@@ -665,3 +680,71 @@ def test_any_input_gives_finite_output_or_one_error_line(argv):
     else:
         assert err_lines == []
         assert all(math.isfinite(float(v)) for v in NUMBER.findall(out))
+
+
+@st.composite
+def sweep_spec(draw):
+    """A spec file's content: edge values, at most 3 points and 200 samples."""
+    reals = st.sampled_from(EDGE_REALS)
+    probabilities = st.sampled_from(EDGE_PROBABILITIES)
+    sizes = st.one_of(st.integers(1, 100), st.integers(1, 2**63 + 1))
+    vary = draw(st.sampled_from(("p", "s", "r", "m", "n")))
+    values = {"p": probabilities, "m": sizes, "n": sizes}.get(vary, reals)
+    steps = st.one_of(st.integers(1, 3), st.just(10**11))
+    regime = {"kind": draw(st.sampled_from(REGIMES))}
+    if regime["kind"] == "case2" and draw(st.booleans()):
+        regime["alpha"] = draw(reals)
+    spec = {
+        "base": {"n": draw(sizes), "m": draw(sizes), "p": draw(probabilities),
+                 "s": draw(reals), "r": draw(reals)},
+        "regime": regime,
+        "vary": vary,
+        "grid": draw(st.one_of(
+            st.lists(values, min_size=1, max_size=3),
+            st.fixed_dictionaries({"lo": values, "hi": values, "steps": steps}),
+        )),
+        "samples": draw(st.integers(1, 200)),
+        "replicates_per_point": draw(st.one_of(st.just(1), st.just(10**9))),
+    }
+    optional = {
+        "bins": st.integers(2, 100),
+        "direction": st.sampled_from(("forward", "reversed", "auto")),
+        "master_seed": st.integers(0, 2**64),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            spec[key] = draw(strategy)
+    return spec
+
+
+ONE_POINT_SPEC = {**SPEC, "grid": [1.0], "samples": 200}
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sweep_spec(),
+       threads=st.one_of(st.integers(1, 2), st.just(runner.MAX_THREADS + 1),
+                         st.just(10**18)))
+# a sweep too large to hold: np.linspace and the task list used to run out of memory
+@example(spec={**ONE_POINT_SPEC, "grid": {"lo": 0.1, "hi": 0.9, "steps": 100000000000}},
+         threads=1)
+@example(spec={**ONE_POINT_SPEC, "replicates_per_point": 1000000000},
+         threads=1)
+@example(spec=ONE_POINT_SPEC, threads=runner.MAX_THREADS + 1)
+# settings of the wrong type, which SweepSpec rejects
+@example(spec={**ONE_POINT_SPEC, "samples": True}, threads=1)
+@example(spec={**ONE_POINT_SPEC, "replicates_per_point": "2"}, threads=1)
+# integers beyond float range, where a float conversion used to overflow
+@example(spec={**SPEC, "base": {**SPEC["base"], "s": HUGE}}, threads=1)
+@example(spec={**SPEC, "base": {**SPEC["base"], "s": 1, "r": 1}, "grid": [1, 2],
+               "regime": {"kind": "case2", "alpha": HUGE}}, threads=1)
+@example(spec={**SPEC, "vary": "m", "grid": [100, HUGE]}, threads=1)
+@example(spec={**SPEC, "grid": {"lo": HUGE, "hi": 2, "steps": 2}}, threads=1)
+# hi - lo overflows inside np.linspace
+@example(spec={**SPEC, "grid": {"lo": 1e308, "hi": -1e308, "steps": 3}}, threads=1)
+def test_any_sweep_spec_gives_finite_output_or_one_error_line(spec, threads,
+                                                               tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "property_spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["sweep", "--spec", str(path), "--threads", str(threads)]
+    assert_finite_output_or_one_error_line(argv)

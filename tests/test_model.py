@@ -35,6 +35,8 @@ class TestModelParams:
             dict(n=1, m=1, p="0.5", s=1.0, r=1.0),
             dict(n=1, m=1, p=0.5, s="1", r=1.0),
             dict(n=1, m=1, p=0.5, s=1.0, r=None),
+            dict(n=1, m=1, p=0.5, s=10**400, r=1.0),  # no float holds it
+            dict(n=1, m=1, p=0.5, s=1.0, r=10**400),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):
@@ -52,6 +54,8 @@ class TestRegime:
             Regime.case_ii(math.inf)
         with pytest.raises(RegimeError):
             Regime.case_ii("x")
+        with pytest.raises(RegimeError):
+            Regime.case_ii(10**400)
 
     def test_alpha_only_for_balanced(self):
         with pytest.raises(RegimeError):

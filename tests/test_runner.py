@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,16 +197,35 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("setting", [
         {"samples": 0}, {"bins": 1}, {"master_seed": -1}, {"master_seed": 2**64},
-        {"samples": 10**12}, {"bins": 10**12},
+        {"samples": 10**12}, {"bins": 10**12}, {"samples": "5"}, {"bins": True},
+        {"replicates_per_point": 2.0}, {"master_seed": None},
+        {"replicates_per_point": 0}, {"replicates_per_point": runner.SWEEP_RUN_LIMIT},
     ], ids=["samples", "bins", "negative_seed", "wide_seed", "samples_over_budget",
-            "bins_over_budget"])
+            "bins_over_budget", "samples_str", "bins_bool", "replicates_float",
+            "seed_none", "no_replicates", "runs_over_limit"])
     def test_settings_checked_before_any_run(self, monkeypatch, setting):
         ran = []
         monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
         with pytest.raises(ParameterError):
             run_sweep(small_spec(**setting))
         with pytest.raises(ParameterError):
-            preset("fig3c", **setting)
+            replace(preset("fig3c"), **setting)
+        assert ran == []
+
+    def test_largest_sweep_within_limit(self):
+        most = runner.SWEEP_RUN_LIMIT // 2
+        small_spec(grid=(1.0, 2.0), replicates_per_point=most)
+        with pytest.raises(ParameterError, match=f"holds 1 to {runner.SWEEP_RUN_LIMIT} runs"):
+            small_spec(grid=(1.0, 2.0), replicates_per_point=most + 1)
+
+    @pytest.mark.parametrize("threads", [0, runner.MAX_THREADS + 1, 10**18])
+    def test_threads_checked_before_any_run(self, monkeypatch, threads):
+        # a pool is never built, so no thread starts
+        ran = []
+        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", None)
+        with pytest.raises(ParameterError, match="threads must be >= 1 and <= "):
+            run_sweep(small_spec(), threads=threads)
         assert ran == []
 
     def test_single_point_matches_run_single(self):
@@ -255,7 +275,7 @@ class TestPresets:
         for name in PRESET_NAMES:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                spec = preset(name, samples=100)
+                spec = replace(preset(name), samples=100)
             assert len(spec.grid) >= 2
             for value in spec.grid:
                 spec.params_at(value)
@@ -266,10 +286,10 @@ class TestPresets:
 
     def test_fig4d_warns_about_published_range(self):
         with pytest.warns(UserWarning):
-            preset("fig4d", samples=100)
+            replace(preset("fig4d"), samples=100)
 
     def test_p_grids_stay_interior(self):
-        spec = preset("fig2a", samples=100)
+        spec = replace(preset("fig2a"), samples=100)
         assert min(spec.grid) >= 0.01
         assert max(spec.grid) <= 0.99
 

@@ -412,7 +412,7 @@ class TestKeyedGenerator:
         assert np.array_equal(y, y_gen.binomial(3_000_000, 0.35, 3000))
         _use(_keyed_generator(SeedSpec(8)), prior)
         ref = reference_normal_batch(2.5, 3000, self.SEED)
-        want = make_generator(self.SEED).normal(0.0, math.sqrt(2.5), size=3000)
+        want = make_generator(self.SEED.substream(2)).normal(0.0, math.sqrt(2.5), size=3000)
         assert np.array_equal(ref.view(np.uint64), want.view(np.uint64))
 
 
