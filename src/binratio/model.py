@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _positive_real(value) -> bool:
+    return (not isinstance(value, bool)  # an int to Python, but no model number
+            and isinstance(value, Real) and 0 < value <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The quintuple (n, m, p, s, r) defining the two Binomials and exponents.
@@ -48,15 +53,15 @@ class ModelParams:
     r: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1):
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if isinstance(self.m, bool) or not (isinstance(self.m, int) and self.m >= 1):
             raise ParameterError(f"m must be a positive integer, got {self.m!r}")
         if not (isinstance(self.p, Real) and 0.0 < self.p < 1.0):
             raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not (isinstance(self.s, Real) and 0 < self.s <= sys.float_info.max):
+        if not _positive_real(self.s):
             raise ParameterError(f"s must be a positive real, got {self.s!r}")
-        if not (isinstance(self.r, Real) and 0 < self.r <= sys.float_info.max):
+        if not _positive_real(self.r):
             raise ParameterError(f"r must be a positive real, got {self.r!r}")
 
 
@@ -83,9 +88,7 @@ class Regime:
 
     def __post_init__(self) -> None:
         if self.kind is RegimeKind.BALANCED:
-            if self.alpha is not None and not (
-                isinstance(self.alpha, Real) and 0 < self.alpha <= sys.float_info.max
-            ):
+            if self.alpha is not None and not _positive_real(self.alpha):
                 raise RegimeError(
                     f"balanced regime needs alpha > 0 and finite, got {self.alpha!r}"
                 )

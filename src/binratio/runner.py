@@ -1,11 +1,11 @@
 """Experiment orchestration: single runs, parameter sweeps, bound diagnostics.
 
 A sweep varies one parameter of a base model over a grid, runs the full
-simulate/compare pipeline at every grid point with a per-point derived seed,
-and collects one row per (point, replicate). Points are independent tasks:
-they may execute on a thread pool, and results are identical to serial
-execution because each point's seed is a pure function of
-(master_seed, point index) and rows are emitted in grid order.
+simulate/compare pipeline at every grid point with a per-run derived seed,
+and collects one row per (point, replicate). Every sweep runs on a thread
+pool, in at most ``MAX_THREADS`` contiguous shares of its runs, and its rows
+are the same at every thread count because each run's seed is a pure
+function of (master_seed, run index) and rows are emitted in grid order.
 
 Built-in presets named fig1a..fig4e encode the sweep ranges of the four
 simulation studies (collapse, heavy-denominator, balanced, and
@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from numbers import Real
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,11 +72,11 @@ _BIN_BYTES = 640
 # samples with n = 1e3 and 1e7; rounded up the same way.
 _BOUND_SAMPLE_BYTES = 48
 # Largest sweep, in runs (grid points times replicates). Besides its runs, a
-# sweep's peak RSS grows by 650 bytes per run on one thread and 2150 on two
-# (tasks, futures, rows, CSV text), measured at 1e5 and 2e5 runs with
-# run_single stubbed: about 2 GiB at the limit, within RUN_MEMORY_BUDGET.
+# sweep's peak RSS grows by about 420 bytes per run at any thread count (tasks
+# and rows; 480 with the CSV text), measured at 1e5 and 2e5 runs with
+# run_single stubbed: about 0.5 GB at the limit, within RUN_MEMORY_BUDGET.
 SWEEP_RUN_LIMIT = 10**6
-# Most threads a sweep starts; each holds one run's arrays at a time.
+# Most threads and shares of a sweep; a thread holds one run's arrays at a time.
 MAX_THREADS = 256
 
 
@@ -142,7 +140,7 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def params_at(self, value) -> ModelParams:
-        if self.vary in ("m", "n") and isinstance(value, Real) and abs(value) < math.inf:
+        if self.vary in ("m", "n") and isinstance(value, float) and math.isfinite(value):
             value = int(round(value))  # anything else is left for ModelParams to reject
         return replace(self.base, **{self.vary: value})
 
@@ -218,23 +216,24 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
     Every grid point's params are built, and so validated (trial counts
     included), once before any simulation starts, so an invalid point fails
-    fast. Results are independent of ``threads``.
+    fast. Rows and the first failing run's error do not depend on ``threads``.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ParameterError(f"threads must be >= 1 and <= {MAX_THREADS}, got {threads}")
     points = [spec.params_at(value) for value in spec.grid]
     for params in points:
         check_trials(params)
-    tasks = [
-        (params, point, rep)
-        for point, params in enumerate(points)
-        for rep in range(spec.replicates_per_point)
-    ]
-    if threads == 1:
-        return [_run_point(spec, *task) for task in tasks]
+    reps = range(spec.replicates_per_point)
+    tasks = [(params, point, rep) for point, params in enumerate(points) for rep in reps]
+
+    def run_share(share: list) -> list[SweepRow]:
+        return [_run_point(spec, *task) for task in share]  # stops at its first failure
+
+    size = math.ceil(len(tasks) / MAX_THREADS)  # at most MAX_THREADS shares, in order
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_point, spec, *task) for task in tasks]
-        return [f.result() for f in futures]
+        shares = [pool.submit(run_share, tasks[start:start + size])
+                  for start in range(0, len(tasks), size)]
+    return [row for share in shares for row in share.result()]  # in order, after the join
 
 
 @dataclass(frozen=True)
@@ -332,18 +331,16 @@ PRESET_NAMES = tuple(sorted(_PRESET_SWEEPS))
 
 
 def preset(name: str) -> SweepSpec:
-    """The built-in sweep preset ``name`` (fig1a .. fig4e), at SweepSpec's defaults."""
+    """The built-in sweep preset ``name`` (fig1a .. fig4e), at SweepSpec's defaults.
+
+    fig4d keeps its published ``m`` range verbatim: it runs downward, from
+    2.8e6 to 1.2e6, and disagrees with the fixed m of the other fig4 sweeps.
+    """
     try:
         base_key, vary, grid_fn = _PRESET_SWEEPS[name]
     except KeyError:
         raise ParameterError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
-    if name == "fig4d":
-        warnings.warn(
-            "fig4d keeps its published descending m range verbatim; it is "
-            "inconsistent with the fixed m of the other fig4 sweeps",
-            stacklevel=2,
-        )
     base, regime = _PRESET_BASES[base_key]
     return SweepSpec(base=base, regime=regime, vary=vary, grid=grid_fn())

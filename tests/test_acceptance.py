@@ -8,7 +8,6 @@ checks run under one fixed master seed.
 import math
 import statistics
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -49,9 +48,7 @@ def report(capsys, number, ok, detail):
 
 
 def sweep(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spec = replace(preset(name), master_seed=MASTER_SEED)
+    spec = replace(preset(name), master_seed=MASTER_SEED)
     start = time.perf_counter()
     rows = run_sweep(spec)
     return rows, time.perf_counter() - start
@@ -244,9 +241,7 @@ def test_criterion_7_numerical_stability(capsys):
 def test_criterion_8_determinism(capsys):
     first, _ = sweep("fig3c")
     second, _ = sweep("fig3c")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spec = replace(preset("fig3c"), master_seed=MASTER_SEED)
+    spec = replace(preset("fig3c"), master_seed=MASTER_SEED)
     threaded = run_sweep(spec, threads=8)
 
     def key(rows):

@@ -243,12 +243,21 @@ class TestSweep:
             ({**SPEC, "replicates_per_point": 10**9}, "holds 1 to 1000000 runs"),
             ({**SPEC, "grid": {"lo": 10**400, "hi": 2, "steps": 2}},
              "'lo' must be a finite number"),
+            ({**SPEC, "base": {**SPEC["base"], "n": True}},
+             "n must be a positive integer, got True"),
+            ({**SPEC, "base": {**SPEC["base"], "s": True}},
+             "s must be a positive real, got True"),
+            ({**SPEC, "regime": {"kind": "case2", "alpha": True}},
+             "needs alpha > 0 and finite, got True"),
+            ({**SPEC, "vary": "m", "grid": [True, 2]},
+             "m must be a positive integer, got True"),
         ],
         ids=["list", "base-key", "top-key", "base-missing", "regime-str",
              "regime-key", "grid-missing", "direction", "p-str", "grid-str",
              "grid-m-str", "grid-n-nan", "samples-str", "samples-bool", "grid-int",
              "steps-str", "steps-negative", "lo-str", "alpha-str", "bins-null",
-             "steps-over-limit", "runs-over-limit", "lo-huge-int"],
+             "steps-over-limit", "runs-over-limit", "lo-huge-int", "n-bool",
+             "s-bool", "alpha-bool", "grid-m-bool"],
     )
     def test_strict_spec_exit_2(self, capsys, tmp_path, spec, message):
         spec_file = tmp_path / "spec.json"
@@ -480,7 +489,7 @@ GENERATOR_COMMANDS = [
 
 def test_each_command_drops_its_generator(monkeypatch):
     # a command builds its thread's generator once and drops it at its end;
-    # a sweep on two threads draws only on its pool threads
+    # a sweep draws only on its pool threads, at any thread count
     main_thread_builds = []
     make = sampling.make_generator
 
@@ -490,7 +499,7 @@ def test_each_command_drops_its_generator(monkeypatch):
         return make(seed)
 
     monkeypatch.setattr(sampling, "make_generator", counting)
-    for argv, builds in zip(GENERATOR_COMMANDS, [1, 1, 0, 1]):
+    for argv, builds in zip(GENERATOR_COMMANDS, [1, 0, 0, 1]):
         main_thread_builds.clear()
         assert main(argv) == 0
         assert len(main_thread_builds) == builds, argv
@@ -569,6 +578,14 @@ def test_non_finite_result_one_stderr_line(argv, message, tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("name", runner.PRESET_NAMES)
+def test_every_preset_exits_0_with_empty_stderr(name):
+    code, out, err_lines = run_in_process(
+        ["sweep", "--preset", name, "--samples", "200", "--bins", "10"])
+    assert (code, err_lines) == (0, [])
+    assert out.startswith(SWEEP_CSV_HEADER + "\n")
 
 
 def test_invalid_sweep_setting_fails_before_any_run(monkeypatch, capsys):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,8 @@ SAMPLES = 2000
 
 def preset_digest(name: str, out_file: Path) -> str:
     """sha256 of ``sweep --preset name --samples 2000`` without wall_time_ms."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fig4d warns about its published range
-        code = main(["sweep", "--preset", name, "--samples", str(SAMPLES),
-                     "--out", str(out_file)])
+    code = main(["sweep", "--preset", name, "--samples", str(SAMPLES),
+                 "--out", str(out_file)])
     assert code == 0
     text = out_file.read_text(encoding="utf-8")
     stripped = "\n".join(line.rsplit(",", 1)[0] for line in text.split("\n"))

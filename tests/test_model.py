@@ -37,6 +37,11 @@ class TestModelParams:
             dict(n=1, m=1, p=0.5, s=1.0, r=None),
             dict(n=1, m=1, p=0.5, s=10**400, r=1.0),  # no float holds it
             dict(n=1, m=1, p=0.5, s=1.0, r=10**400),
+            # a bool is an int to Python, but no model number
+            dict(n=True, m=1, p=0.5, s=1.0, r=1.0),
+            dict(n=1, m=True, p=0.5, s=1.0, r=1.0),
+            dict(n=1, m=1, p=0.5, s=True, r=1.0),
+            dict(n=1, m=1, p=0.5, s=1.0, r=True),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):
@@ -56,6 +61,8 @@ class TestRegime:
             Regime.case_ii("x")
         with pytest.raises(RegimeError):
             Regime.case_ii(10**400)
+        with pytest.raises(RegimeError):
+            Regime(RegimeKind.BALANCED, True)
 
     def test_alpha_only_for_balanced(self):
         with pytest.raises(RegimeError):

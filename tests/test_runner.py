@@ -1,6 +1,8 @@
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,14 +247,51 @@ class TestRunSweep:
         kls = {row.kl for row in rows}
         assert len(kls) == 3  # independent replicates
 
-    def test_thread_count_does_not_change_results(self):
-        spec = small_spec()
+    # 300 runs make shares of two runs each
+    @pytest.mark.parametrize("spec", [
+        small_spec(), small_spec(samples=200, replicates_per_point=100),
+    ], ids=["single_run_shares", "two_run_shares"])
+    def test_thread_count_does_not_change_results(self, spec):
         serial = run_sweep(spec, threads=1)
         parallel = run_sweep(spec, threads=4)
+        assert len(serial) == len(parallel) == len(spec.grid) * spec.replicates_per_point
         for a, b in zip(serial, parallel):
             assert a.kl == b.kl
+            assert a.smoothed_bins == b.smoothed_bins
             assert a.varied_value == b.varied_value
             assert a.seed == b.seed
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_submits_at_most_max_threads_shares(self, monkeypatch, threads):
+        stub = SimpleNamespace(
+            report=SimpleNamespace(kl=0.0, direction=Direction.FORWARD, smoothed_bins=0),
+            simulated=SimpleNamespace(zero_denominator_count=0),
+            wall_time_ms=0.0,
+        )
+        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: stub)
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+
+        def counting(pool, *args, **kw):
+            submitted.append(args)
+            return submit(pool, *args, **kw)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+        spec = small_spec(grid=(1.0, 2.0), replicates_per_point=5000)
+        rows = run_sweep(spec, threads=threads)
+        assert len(submitted) <= runner.MAX_THREADS
+        assert [row.seed for row in rows] == [
+            _point_seed(spec, point, rep) for point in range(2) for rep in range(5000)
+        ]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_error_is_the_first_failing_runs(self, threads):
+        # (s - r)**2 overflows under case 3 at s = 1e160 and 1e170; 300 runs
+        # make shares of two runs each
+        spec = small_spec(regime=Regime.case_iii(), vary="s", samples=200,
+                          grid=(1.5, 2.0, 1e160, 3.0, 1e170), replicates_per_point=60)
+        with pytest.raises(ParameterError, match=r"overflows at s=1e\+160,"):
+            run_sweep(spec, threads=threads)
 
     def test_invalid_grid_point_fails_fast(self):
         spec = small_spec(vary="p", grid=(0.5, 1.5))
@@ -270,12 +309,8 @@ class TestRunSweep:
 
 class TestPresets:
     def test_all_presets_constructible(self):
-        import warnings
-
         for name in PRESET_NAMES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                spec = replace(preset(name), samples=100)
+            spec = replace(preset(name), samples=100)
             assert len(spec.grid) >= 2
             for value in spec.grid:
                 spec.params_at(value)
@@ -283,10 +318,6 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ParameterError):
             preset("fig9z")
-
-    def test_fig4d_warns_about_published_range(self):
-        with pytest.warns(UserWarning):
-            replace(preset("fig4d"), samples=100)
 
     def test_p_grids_stay_interior(self):
         spec = replace(preset("fig2a"), samples=100)
@@ -296,12 +327,8 @@ class TestPresets:
 
 class TestRunMemoryBudget:
     def test_presets_and_benchmark_sizes_within_budget(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for name in PRESET_NAMES:
-                preset(name)  # 100k samples, the default bins
+        for name in PRESET_NAMES:
+            preset(name)  # 100k samples, the default bins
         # the benchmark's two sweep workloads run 100k and 2000 samples
         for samples in (runner.DEFAULT_SAMPLES, 2000):
             small_spec(samples=samples, bins=runner.DEFAULT_BIN_COUNT)

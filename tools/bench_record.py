@@ -67,12 +67,10 @@ print(json.dumps(rows))
 """
 
 _SWEEP_TIMER = """\
-import json, os, statistics, sys, time, warnings
+import json, os, statistics, sys, time
 sys.path.insert(0, "src")
 from binratio.cli import main
 from binratio.runner import PRESET_NAMES
-
-warnings.simplefilter("ignore")  # fig4d warns about its published range
 
 def sweep(name, threads, samples=100_000):
     argv = ["sweep", "--preset", name, "--samples", str(samples),
