@@ -2,10 +2,10 @@
 
 ``scaled_remainder_samples`` gives the remainder Q of f at the mean point
 (np, mp) after the regime's rescaling; it is the one implementation of Q:
-Q itself is ``scaled_remainder_samples(params, law, x, y) / law.scale``.
-``scaled_remainder_bound`` is the analytic bound on it. No command needs
-the gradient, Hessian or Hessian norm bound of f that the proof uses; their
-closed forms are in tests/delta_method.py.
+Q itself is ``scaled_remainder_samples(params, law, x, y)`` divided by
+``math.exp(law.log_scale)``. ``scaled_remainder_bound`` is the analytic
+bound on it. No command needs the gradient, Hessian or Hessian norm bound
+of f that the proof uses; their closed forms are in tests/delta_method.py.
 """
 
 from __future__ import annotations

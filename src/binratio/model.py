@@ -4,7 +4,10 @@ The object of study is the ratio statistic R = X^s / (X+Y)^r for independent
 X ~ Binomial(n, p) and Y ~ Binomial(m, p). Depending on how m grows relative
 to n, a centered and rescaled version of R converges to a Normal distribution
 whose variance has a closed form; ``limit_law`` packages the centering
-constant, the scaling factor, and that variance for a given regime.
+constant, the scaling factor, and that variance for a given regime. It is
+the one place a variance becomes an error: one that overflows, or underflows
+to 0, is a ParameterError that reads "limiting variance overflows at s=...,
+r=..., p=... under case2 with alpha=...", with alpha under case 2 only.
 
 All centers and scales are carried in natural-log form so that exponents up
 to ~30 at trial counts up to ~2e9 stay representable.
@@ -26,9 +29,6 @@ __all__ = [
     "RegimeKind",
     "LimitLaw",
     "limit_law",
-    "heavy_denominator_variance",
-    "balanced_variance",
-    "light_denominator_variance",
 ]
 
 
@@ -87,6 +87,8 @@ class Regime:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, RegimeKind):
+            raise RegimeError(f"regime kind must be a RegimeKind, got {self.kind!r}")
         if self.kind is RegimeKind.BALANCED:
             if self.alpha is not None and not _positive_real(self.alpha):
                 raise RegimeError(
@@ -129,52 +131,31 @@ class LimitLaw:
     s: float
     r: float
 
-    @property
-    def scale(self) -> float:
-        return math.exp(self.log_scale)
-
 
 def _prefactor(p: float, s: float, r: float) -> float:
     """p^(2(s-r)-1) * (1-p), the factor every regime's variance shares."""
-    try:
-        return p ** (2 * (s - r) - 1) * (1 - p)
-    except OverflowError:
-        raise ParameterError(
-            f"variance prefactor p^(2(s-r)-1) overflows at p={p!r}, s={s!r}, r={r!r}"
-        ) from None
+    return p ** (2 * (s - r) - 1) * (1 - p)
 
 
-def heavy_denominator_variance(p: float, s: float, r: float) -> float:
+def _heavy_denominator_variance(p: float, s: float, r: float) -> float:
     """Limiting variance when the denominator trial count dominates."""
     return _prefactor(p, s, r) * s * s
 
 
-def balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
-    """Limiting variance when m/n -> alpha in (0, inf)."""
-    try:
-        num = (s * (1 + alpha) - r) ** 2 + alpha * r * r
-    except OverflowError:
-        raise ParameterError(
-            f"balanced variance overflows at s={s!r}, r={r!r}, alpha={alpha!r}"
-        ) from None
+def _balanced_variance(p: float, s: float, r: float, alpha: float) -> float:
+    """Limiting variance when m/n -> alpha; 0.0 if its numerator underflows."""
+    num = (s * (1 + alpha) - r) ** 2 + alpha * r * r
     if num == 0:
-        raise ParameterError(
-            f"balanced variance underflows to 0 at s={s!r}, r={r!r}, alpha={alpha!r}"
-        )
+        return 0.0
     # (1 + alpha)^(2(r+1)) can overflow on its own at large alpha even though
     # the ratio is tame, so keep the alpha-dependent factor in log space
     log_ratio = math.log(num) - 2 * (r + 1) * math.log1p(alpha)
     return _prefactor(p, s, r) * math.exp(log_ratio)
 
 
-def light_denominator_variance(p: float, s: float, r: float) -> float:
+def _light_denominator_variance(p: float, s: float, r: float) -> float:
     """Limiting variance when m/n -> 0; degenerates to 0 at r = s."""
-    try:
-        return _prefactor(p, s, r) * (s - r) ** 2
-    except OverflowError:
-        raise ParameterError(
-            f"light-denominator variance (s-r)^2 overflows at s={s!r}, r={r!r}"
-        ) from None
+    return _prefactor(p, s, r) * (s - r) ** 2
 
 
 def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
@@ -186,48 +167,45 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
     degenerates to a point mass at these growth rates) and borrows the
     heavy-denominator variance formula as the comparison Normal. A BALANCED
     regime without alpha takes alpha = m/n, which must then be a positive
-    finite float. A variance that overflows, or underflows to 0, is a
-    ParameterError; case 3 at r = s is the one exact 0.
+    finite float. A variance that overflows (or is NaN), or underflows to 0,
+    is a ParameterError naming s, r, p, the regime and, under case 2, the
+    alpha used; case 3 at r = s is the one exact 0.
     """
     n, m, p, s, r = params.n, params.m, params.p, params.s, params.r
     log_center = s * math.log(n) - r * math.log(n + m) + (s - r) * math.log(p)
 
-    kind = regime.kind
+    kind, alpha = regime.kind, regime.alpha
+    if kind is RegimeKind.BALANCED and alpha is None:
+        try:
+            alpha = m / n
+        except OverflowError:
+            alpha = math.inf
+        if not 0 < alpha < math.inf:
+            raise ParameterError(
+                f"balanced regime needs m/n positive and finite as a "
+                f"float, got m/n = {alpha!r}"
+            )
     if kind is RegimeKind.HEAVY_DENOMINATOR:
         log_scale = r * math.log(m) - (s - 0.5) * math.log(n)
-        variance = heavy_denominator_variance(p, s, r)
-    elif kind is RegimeKind.BALANCED:
-        alpha = regime.alpha
-        if alpha is None:
-            try:
-                alpha = m / n
-            except OverflowError:
-                alpha = math.inf
-            if not 0 < alpha < math.inf:
-                raise ParameterError(
-                    f"balanced regime needs m/n positive and finite as a "
-                    f"float, got m/n = {alpha!r}"
-                )
+    else:
         log_scale = (r - s + 0.5) * math.log(n)
-        variance = balanced_variance(p, s, r, alpha)
-    elif kind is RegimeKind.LIGHT_DENOMINATOR:
-        log_scale = (r - s + 0.5) * math.log(n)
-        variance = light_denominator_variance(p, s, r)
-    elif kind is RegimeKind.COLLAPSE:
-        log_scale = (r - s + 0.5) * math.log(n)
-        variance = heavy_denominator_variance(p, s, r)
-    else:  # pragma: no cover
-        raise RegimeError(f"unknown regime kind {kind!r}")
-    if not math.isfinite(variance):
-        raise ParameterError(
-            f"limiting variance overflows at p={p!r}, s={s!r}, r={r!r}"
-        )
+    try:
+        if kind is RegimeKind.BALANCED:
+            variance = _balanced_variance(p, s, r, alpha)
+        elif kind is RegimeKind.LIGHT_DENOMINATOR:
+            variance = _light_denominator_variance(p, s, r)
+        else:  # heavy denominator; collapse borrows its variance
+            variance = _heavy_denominator_variance(p, s, r)
+    except OverflowError:
+        variance = math.inf
     # only the (s - r)^2 factor of case 3 makes the variance exactly 0
-    if variance == 0 and not (kind is RegimeKind.LIGHT_DENOMINATOR and s == r):
-        raise ParameterError(
-            f"limiting variance underflows to 0 under {kind.value} at "
-            f"p={p!r}, s={s!r}, r={r!r}"
-        )
+    if not math.isfinite(variance) or (
+        variance == 0 and not (kind is RegimeKind.LIGHT_DENOMINATOR and s == r)
+    ):
+        fault = "underflows to 0" if variance == 0 else "overflows"
+        with_alpha = f" with alpha={alpha!r}" if kind is RegimeKind.BALANCED else ""
+        raise ParameterError(f"limiting variance {fault} at s={s!r}, r={r!r}, "
+                             f"p={p!r} under {kind.value}{with_alpha}")
 
     try:
         center = math.exp(log_center)

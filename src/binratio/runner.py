@@ -216,7 +216,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
     Every grid point's params are built, and so validated (trial counts
     included), once before any simulation starts, so an invalid point fails
-    fast. Rows and the first failing run's error do not depend on ``threads``.
+    fast. Rows and the first failing run's error do not depend on ``threads``;
+    once a share has failed, no share after it starts its runs.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ParameterError(f"threads must be >= 1 and <= {MAX_THREADS}, got {threads}")
@@ -226,13 +227,20 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     reps = range(spec.replicates_per_point)
     tasks = [(params, point, rep) for point, params in enumerate(points) for rep in reps]
 
-    def run_share(share: list) -> list[SweepRow]:
-        return [_run_point(spec, *task) for task in share]  # stops at its first failure
-
     size = math.ceil(len(tasks) / MAX_THREADS)  # at most MAX_THREADS shares, in order
+    failed = []  # starts of the failed shares; it only grows, by atomic appends
+
+    def run_share(start: int) -> list[SweepRow]:
+        if failed and start > min(failed):
+            return []  # never read: the earlier failed share raises first
+        try:  # stops at its first failure
+            return [_run_point(spec, *task) for task in tasks[start:start + size]]
+        except Exception:
+            failed.append(start)
+            raise
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        shares = [pool.submit(run_share, tasks[start:start + size])
-                  for start in range(0, len(tasks), size)]
+        shares = [pool.submit(run_share, start) for start in range(0, len(tasks), size)]
     return [row for share in shares for row in share.result()]  # in order, after the join
 
 

@@ -206,7 +206,7 @@ def test_criterion_7_numerical_stability(capsys):
                 params = ModelParams(n=n, m=m, p=0.5, s=float(s), r=float(r))
                 law = limit_law(params, Regime.case_ii(m / n))
                 amp = math.exp(law.log_scale + law.log_center)
-                direct = law.scale * (
+                direct = math.exp(law.log_scale) * (
                     np.where(x > 0, x, 1.0) ** s / (x + y + (x == 0)) ** r
                     - law.center
                 )

@@ -119,7 +119,7 @@ class TestGerschgorin:
 def remainder(params, regime, x, y):
     """Q(x, y) from its one implementation: scale * Q over the law's scale."""
     law = limit_law(params, regime)
-    return float(scaled_remainder_samples(params, law, x, y) / law.scale)
+    return float(scaled_remainder_samples(params, law, x, y) / math.exp(law.log_scale))
 
 
 REMAINDER_REGIMES = [Regime.case_i(), Regime.case_ii(None), Regime.case_iii()]

@@ -76,6 +76,27 @@ class TestLimit:
             argv = [*model, *exponents, "--regime", "case2"]
             assert_one_line_error(*run_cli(argv, capsys), "overflows")
 
+    @pytest.mark.parametrize("model, message", [
+        # p^(2(s-r)-1) overflows
+        ("--n 10 --m 10 --p 1e-12 --s 1 --r 30 --regime case1",
+         "overflows at s=1.0, r=30.0, p=1e-12 under case1\n"),
+        # (s(1 + alpha) - r)^2 overflows
+        ("--n 100 --m 100 --p 0.5 --s 1e300 --r 1 --regime case2 --alpha 1",
+         "overflows at s=1e+300, r=1.0, p=0.5 under case2 with alpha=1.0\n"),
+        # (s - r)^2 overflows
+        ("--n 1000 --m 10 --p 0.5 --s 1e300 --r 1 --regime case3",
+         "overflows at s=1e+300, r=1.0, p=0.5 under case3\n"),
+        # (s(1 + alpha) - r)^2 + alpha r^2 underflows to 0, at alpha = m/n
+        ("--n 2 --m 300 --p 0.5 --s 1e-320 --r 1e-300 --regime case2",
+         "underflows to 0 at s=1e-320, r=1e-300, p=0.5 under case2 with alpha=150.0\n"),
+        # the prefactor is finite, its product with s^2 is not
+        ("--n 10 --m 10 --p 1e-12 --s 100 --r 112.2 --regime case1",
+         "overflows at s=100.0, r=112.2, p=1e-12 under case1\n"),
+    ], ids=["prefactor", "balanced", "light", "balanced_numerator", "product"])
+    def test_variance_error_names_its_inputs(self, capsys, model, message):
+        argv = ["limit", *model.split()]
+        assert_one_line_error(*run_cli(argv, capsys), "error: limiting variance " + message)
+
     @pytest.mark.parametrize("p, s", [("0.99", "10000"), ("0.5", "300")])
     def test_overflowing_center_exit_2(self, capsys, p, s):
         # the variance and log_center are finite; exp(log_center) is not

@@ -13,7 +13,7 @@ from binratio import (
     RegimeKind,
     limit_law,
 )
-from binratio.model import balanced_variance, light_denominator_variance
+from binratio.model import _balanced_variance, _light_denominator_variance
 from binratio.runner import preset
 
 
@@ -63,6 +63,13 @@ class TestRegime:
             Regime.case_ii(10**400)
         with pytest.raises(RegimeError):
             Regime(RegimeKind.BALANCED, True)
+
+    @pytest.mark.parametrize("args", [("case2", 1.0), ("case1",), ("collapse",)],
+                             ids=["case2-str", "case1-str", "collapse-str"])
+    def test_kind_must_be_a_regime_kind(self, args):
+        # a plain string is not a RegimeKind, though it equals one's value
+        with pytest.raises(RegimeError, match="must be a RegimeKind"):
+            Regime(*args)
 
     def test_alpha_only_for_balanced(self):
         with pytest.raises(RegimeError):
@@ -168,29 +175,29 @@ class TestLimitLaw:
 
 class TestVarianceConsistency:
     def test_continuity_at_zero_alpha(self):
-        v2 = balanced_variance(0.5, 2.0, 1.0, 1e-9)
-        v3 = light_denominator_variance(0.5, 2.0, 1.0)
+        v2 = _balanced_variance(0.5, 2.0, 1.0, 1e-9)
+        v3 = _light_denominator_variance(0.5, 2.0, 1.0)
         assert v2 == pytest.approx(v3, rel=1e-6)
 
     def test_degenerate_light_component(self):
-        assert light_denominator_variance(0.5, 15.0, 15.0) == 0.0
+        assert _light_denominator_variance(0.5, 15.0, 15.0) == 0.0
 
     def test_both_positive(self):
-        v2 = balanced_variance(0.3, 3.0, 2.0, 2.0)
-        v3 = light_denominator_variance(0.3, 3.0, 2.0)
+        v2 = _balanced_variance(0.3, 3.0, 2.0, 2.0)
+        v3 = _light_denominator_variance(0.3, 3.0, 2.0)
         assert v2 > 0 and v3 > 0
 
     @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-9])
     def test_balanced_tends_to_light(self, alpha):
-        v2 = balanced_variance(0.4, 2.0, 1.0, alpha)
-        v3 = light_denominator_variance(0.4, 2.0, 1.0)
+        v2 = _balanced_variance(0.4, 2.0, 1.0, alpha)
+        v3 = _light_denominator_variance(0.4, 2.0, 1.0)
         assert v2 == pytest.approx(v3, rel=20 * alpha)
 
     def test_balanced_tends_to_heavy_at_large_alpha(self):
         # (1+a)^(2(r+1)) v2(a) / (s(1+a))^2 -> p^(2(s-r)-1)(1-p)
         p, s, r = 0.5, 2.0, 1.0
         alpha = 1e9
-        v2 = balanced_variance(p, s, r, alpha)
+        v2 = _balanced_variance(p, s, r, alpha)
         limit = v2 * (1 + alpha) ** (2 * (r + 1)) / (s * (1 + alpha)) ** 2
         assert limit == pytest.approx(p ** (2 * (s - r) - 1) * (1 - p), rel=1e-6)
 
@@ -216,7 +223,7 @@ def test_variances_never_negative(p, s, r, alpha):
             # only the balanced formula underflows here (alpha and r large),
             # and a variance that underflows to 0 is rejected
             assert regime.kind is RegimeKind.BALANCED
-            assert balanced_variance(p, s, r, alpha) == 0.0
+            assert _balanced_variance(p, s, r, alpha) == 0.0
             continue
         assert law.variance >= 0
 
@@ -224,5 +231,5 @@ def test_variances_never_negative(p, s, r, alpha):
 @settings(max_examples=100, deadline=None)
 @given(p=st.floats(0.01, 0.99), s=st.floats(0.5, 30.0), r=st.floats(0.5, 30.0))
 def test_variance_zero_only_for_light_regime_equal_exponents(p, s, r):
-    zero = light_denominator_variance(p, s, r) == 0.0
+    zero = _light_denominator_variance(p, s, r) == 0.0
     assert zero == (s == r)

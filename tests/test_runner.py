@@ -1,4 +1,4 @@
-import subprocess
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -19,7 +19,7 @@ from binratio import (
 )
 from binratio import runner, sampling
 from binratio.runner import PRESET_NAMES, _point_seed, preset
-from binratio.sampling import SeedSpec, thread_generator_scope
+from binratio.sampling import STREAMS_PER_RUN, SeedSpec, thread_generator_scope
 
 
 BALANCED_PARAMS = ModelParams(n=10**5, m=10**5, p=0.5, s=2.0, r=1.0)
@@ -170,17 +170,22 @@ class TestGeneratorsBuilt:
                 run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(1.0), samples=100)
         assert len(built) == 2
 
-    def test_counts_hold_after_a_bare_run(self):
-        # a bare run_single leaves its thread a generator; this order once
-        # counted no build for the serial sweep
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestRunSingle::test_deterministic",
-             f"{__file__}::TestGeneratorsBuilt::test_one_per_serial_sweep"],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 0, result.stdout
-        assert "2 passed" in result.stdout
+    def test_counts_hold_after_a_bare_run(self, built):
+        # a bare run_single leaves this thread its generator; a sweep that
+        # drew on this thread would reuse it and count no build
+        run_single(BALANCED_PARAMS, Regime.case_ii(1.0), samples=2000, seed=SeedSpec(3))
+        assert len(built) == 1
+        with thread_generator_scope():
+            run_sweep(small_spec(replicates_per_point=2))
+        assert len(built) == 2
+
+
+# what _run_point reads of a run, for sweeps with run_single stubbed out
+STUB_RUN = SimpleNamespace(
+    report=SimpleNamespace(kl=0.0, direction=Direction.FORWARD, smoothed_bins=0),
+    simulated=SimpleNamespace(zero_denominator_count=0),
+    wall_time_ms=0.0,
+)
 
 
 class TestRunSweep:
@@ -263,12 +268,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_submits_at_most_max_threads_shares(self, monkeypatch, threads):
-        stub = SimpleNamespace(
-            report=SimpleNamespace(kl=0.0, direction=Direction.FORWARD, smoothed_bins=0),
-            simulated=SimpleNamespace(zero_denominator_count=0),
-            wall_time_ms=0.0,
-        )
-        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: stub)
+        monkeypatch.setattr(runner, "run_single", lambda *args, **kw: STUB_RUN)
         submitted = []
         submit = ThreadPoolExecutor.submit
 
@@ -283,6 +283,41 @@ class TestRunSweep:
         assert [row.seed for row in rows] == [
             _point_seed(spec, point, rep) for point in range(2) for rep in range(5000)
         ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_share_starts_after_a_failed_one(self, monkeypatch, threads):
+        calls = []
+
+        def fail_on_run_0(*args, seed, **kw):
+            calls.append(seed)
+            if seed.stream_index == 0:
+                raise ParameterError("run 0 failed")
+            return STUB_RUN
+
+        monkeypatch.setattr(runner, "run_single", fail_on_run_0)
+        spec = small_spec(grid=(1.0, 2.0), replicates_per_point=5000)
+        with pytest.raises(ParameterError, match="run 0 failed"):
+            run_sweep(spec, threads=threads)
+        assert len(calls) <= threads * math.ceil(10**4 / runner.MAX_THREADS)
+
+    def test_first_error_under_rapid_thread_switches(self, monkeypatch):
+        # from run 500 on every 7th run fails, in many shares at once
+        def fail_from_run_500(*args, seed, **kw):
+            run = seed.stream_index // STREAMS_PER_RUN
+            if run >= 500 and run % 7 == 0:
+                raise ParameterError(f"run {run} failed")
+            return STUB_RUN
+
+        monkeypatch.setattr(runner, "run_single", fail_from_run_500)
+        spec = small_spec(grid=(1.0, 2.0), replicates_per_point=5000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with pytest.raises(ParameterError, match="^run 504 failed$"):
+                    run_sweep(spec, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_error_is_the_first_failing_runs(self, threads):

@@ -139,7 +139,7 @@ class TestStandardizedStatistic:
     def test_direct_arithmetic_at_small_scale(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
-        direct = law.scale * (60 / 110 - 0.5)
+        direct = math.exp(law.log_scale) * (60 / 110 - 0.5)
         assert standardized_statistic(60, 50, law) == pytest.approx(direct, rel=1e-12)
 
     def test_finite_under_extreme_exponents(self):
@@ -198,7 +198,7 @@ class TestStandardizedStatistic:
         params = ModelParams(n=500, m=500, p=0.5, s=s, r=r)
         law = limit_law(params, Regime.case_ii(1.0))
         amp = math.exp(law.log_scale + law.log_center)
-        direct = law.scale * (x**s / (x + y) ** r - law.center)
+        direct = math.exp(law.log_scale) * (x**s / (x + y) ** r - law.center)
         got = standardized_statistic(x, y, law)
         # absolute floor: both paths carry ~eps-level noise relative to amp
         assert abs(got - direct) <= 1e-10 * abs(direct) + 1e-12 * amp
