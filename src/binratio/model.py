@@ -43,7 +43,8 @@ class ModelParams:
 
     n, m are the trial counts of X and Y; p is the shared success probability
     (strictly interior); s and r are the positive numerator and denominator
-    exponents of R = X^s / (X+Y)^r.
+    exponents of R = X^s / (X+Y)^r. p, s and r are stored as Python floats,
+    whatever real type they are given as.
     """
 
     n: int
@@ -63,6 +64,10 @@ class ModelParams:
             raise ParameterError(f"s must be a positive real, got {self.s!r}")
         if not _positive_real(self.r):
             raise ParameterError(f"r must be a positive real, got {self.r!r}")
+        # stored as Python floats: a numpy scalar would compute in numpy,
+        # which warns and returns inf where Python raises OverflowError
+        for name in ("p", "s", "r"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 class RegimeKind(str, Enum):

@@ -1,6 +1,8 @@
 import math
+import warnings
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,20 @@ class TestModelParams:
     def test_rejects_out_of_domain(self, kwargs):
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
+
+    def test_stores_python_floats(self):
+        params = ModelParams(n=1, m=1, p=np.float64(0.25), s=2, r=np.float64(0.5))
+        assert astuple(params) == (1, 1, 0.25, 2.0, 0.5)
+        assert all(type(v) is float for v in (params.p, params.s, params.r))
+
+    def test_numpy_scalar_p_overflow_is_one_clean_error(self):
+        # in numpy, p ** (2(s-r)-1) warned and returned inf
+        params = ModelParams(n=10, m=10, p=np.float64(1e-12), s=1.0, r=30.0)
+        message = r"overflows at s=1\.0, r=30\.0, p=1e-12 "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=message):
+                limit_law(params, Regime.case_i())
 
 
 class TestRegime:

@@ -18,6 +18,7 @@ from binratio import (
 )
 from binratio.oracle import (
     BLOCK_OUTCOMES,
+    EXP_SUBNORMAL_BELOW,
     EXP_ZERO_BELOW,
     SUPPORT_LIMIT,
     ExactDistribution,
@@ -70,7 +71,11 @@ def two_pass_reference(n, m, p, s, r, law):
 
 
 def full_exp_reference(n, m, p, s, r, law):
-    """The blocked enumeration as it was before exp skipped outcomes it rounds to 0."""
+    """The blocked enumeration with exp at every outcome and fsum over every term.
+
+    The oracle skips exp where it returns +0.0 and, above the support limit,
+    also where it returns a subnormal, and it sums only nonzero terms.
+    """
     outcomes = (n + 1) * (m + 1)
     xs = np.arange(n + 1)
     ys = np.arange(m + 1)
@@ -362,7 +367,13 @@ class TestLogFactorials:
 
 
 class TestSkippedExp:
-    """exp is skipped only where it would return +0.0, so nothing changes."""
+    """exp is skipped where it would return +0.0 and, when only the moments are
+    kept (above the support limit), where it would return a subnormal.
+
+    Skipping +0.0 changes nothing. A skipped subnormal (below 2**-1022) changes
+    a moment only if the exact sum lies that close to a rounding boundary, so
+    equality with exp everywhere is pinned at the inputs listed below.
+    """
 
     def test_threshold_is_below_every_nonzero_exp(self):
         grid = np.concatenate([
@@ -372,25 +383,38 @@ class TestSkippedExp:
         ])
         assert np.all(np.exp(grid).view(np.uint64) == 0)  # +0.0, never -0.0
         assert np.isnan(np.exp(np.nan))
-        assert np.exp(-745.0) > 0  # a subnormal result above the cut-off is kept
+        assert np.exp(-745.0) > 0  # a subnormal result the support keeps
 
-    @pytest.mark.parametrize("n, m, p, r, regime", [
-        (1600, 2400, 0.5, 1.0, Regime.case_ii(None)),
-        (3000, 2000, 0.999, 1.0, Regime.case_ii(None)),
-        (3000, 2000, 1e-6, 1.0, Regime.case_ii(None)),
-        (700, 800, 0.5, 1.0, Regime.case_ii(None)),  # support kept
-        (700, 800, 0.5, 1.0, None),
-        (1500, 600, 0.5, 0.0, None),  # r = 0: the raw path, R = X^s
+    def test_moments_cut_drops_exactly_the_subnormal_results(self):
+        cut = EXP_SUBNORMAL_BELOW
+        assert np.exp(cut) >= 2.0**-1022
+        assert np.exp(np.nextafter(cut, -np.inf)) < 2.0**-1022
+
+    @pytest.mark.parametrize("n, m, p, s, r, regime", [
+        (1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None)),
+        (1600, 2400, 0.5, 15.0, 15.0, Regime.case_ii(None)),
+        (1600, 2400, 0.3, 2.0, 1.0, None),
+        (3000, 2000, 0.999, 2.0, 1.0, Regime.case_ii(None)),
+        (3000, 2000, 1e-6, 2.0, 1.0, Regime.case_ii(None)),
+        (700, 800, 0.5, 2.0, 1.0, Regime.case_ii(None)),  # support kept
+        (700, 800, 0.5, 2.0, 1.0, None),
+        (1500, 600, 0.5, 2.0, 0.0, None),  # r = 0: the raw path, R = X^s
         # most blocks have no column whose probability can be nonzero
-        (20000, 300, 0.01, 1.0, Regime.case_ii(None)),
+        (20000, 300, 0.01, 2.0, 1.0, Regime.case_ii(None)),
         # raw, support kept: the x = 0 row and t = x + y = 0 are compared too
-        (700, 800, 0.3, 2.0, None),
+        (700, 800, 0.3, 2.0, 2.0, None),
     ])
-    def test_bitwise_equal_to_full_exp(self, n, m, p, r, regime):
-        s = 2.0
+    def test_bitwise_equal_to_full_exp(self, n, m, p, s, r, regime):
         lpx = _log_binom_pmf(np.arange(n + 1), n, p)
-        lpy = _log_binom_pmf(np.arange(m + 1), m, p)
-        assert lpx.min() + lpy.min() < EXP_ZERO_BELOW  # some outcomes skip exp
+        lpy = np.sort(_log_binom_pmf(np.arange(m + 1), m, p))
+        kept = (n + 1) * (m + 1) <= SUPPORT_LIMIT
+        # some outcomes skip exp: below the +0.0 cut-off, and above the
+        # support limit also between it and the subnormal one
+        assert lpx.min() + lpy[0] < EXP_ZERO_BELOW
+        if not kept:
+            skipped = (np.searchsorted(lpy, EXP_SUBNORMAL_BELOW - lpx)
+                       - np.searchsorted(lpy, EXP_ZERO_BELOW - lpx))
+            assert skipped.sum() > 0
         law = None
         if regime is not None:
             law = limit_law(ModelParams(n=n, m=m, p=p, s=s, r=r), regime)
@@ -398,7 +422,7 @@ class TestSkippedExp:
         want = full_exp_reference(n, m, p, s, r, law)
         for key in ("mean", "variance", "probability_total"):
             assert getattr(got, key) == getattr(want, key), key
-        if (n + 1) * (m + 1) <= SUPPORT_LIMIT:
+        if kept:
             assert got.values.tobytes() == want.values.tobytes()
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
         else:
