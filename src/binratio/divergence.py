@@ -2,7 +2,8 @@
 
 Both samples are histogrammed on equal-width bins spanning their pooled
 range, then compared with the discrete KL divergence. ``compare_batches``
-sorts each sample once; the pooled range comes from the sorted ends
+reads a sample that is already ascending as it is and sorts any other once,
+into a copy; the pooled range comes from the sorted ends
 (``common_bins``) and every bin boundary from one binary search of the same
 sorted values (``histogram``). The functions take plain arrays;
 ``common_bins`` and ``histogram`` take them already sorted and, like
@@ -159,6 +160,16 @@ def kl_divergence(
     )
 
 
+def _ascending(values) -> np.ndarray:
+    """``values`` if already in ``np.sort`` order, else a sorted copy.
+
+    The check costs a small fraction of sorting a sorted array again; a NaN
+    fails it, so a sample holding one is sorted, NaN last.
+    """
+    values = np.asarray(values)
+    return values if (values[:-1] <= values[1:]).all() else np.sort(values)
+
+
 def compare_batches(
     a: np.ndarray,
     b: np.ndarray,
@@ -167,11 +178,13 @@ def compare_batches(
 ) -> DivergenceReport:
     """Full comparison: common bins, two histograms, KL in one direction.
 
-    ``a`` is the simulated sample, ``b`` the reference; each is sorted once
-    and both the edges and the bins are read from the sorted copies. The
-    report's ``histograms`` are theirs, in that order.
+    ``a`` is the simulated sample, ``b`` the reference; neither is modified.
+    A sample already in ascending order is read as it is, any other is
+    sorted once into a copy, and both the edges and the bins are read from
+    the sorted samples. The report's ``histograms`` are theirs, in that
+    order.
     """
-    a_sorted, b_sorted = np.sort(a), np.sort(b)
+    a_sorted, b_sorted = _ascending(a), _ascending(b)
     edges = common_bins(a_sorted, b_sorted, bin_count)
     return kl_divergence(
         histogram(a_sorted, edges), histogram(b_sorted, edges), direction

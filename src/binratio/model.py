@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Rational, Real
 
 from .errors import ParameterError, RegimeError
 
@@ -33,8 +33,12 @@ __all__ = [
 
 
 def _positive_real(value) -> bool:
-    return (not isinstance(value, bool)  # an int to Python, but no model number
-            and isinstance(value, Real) and 0 < value <= sys.float_info.max)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False  # a bool is an int to Python, but no model number
+    if not isinstance(value, Rational):
+        # a numpy float32 would cast float_info.max to its own type, warning
+        value = float(value)
+    return 0 < value <= sys.float_info.max  # exact for ints beyond float range
 
 
 @dataclass(frozen=True)

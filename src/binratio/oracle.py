@@ -169,9 +169,12 @@ def _enumerate_moments(
     lpx = _log_binom_pmf(xs, n, p)
     lpy = _log_binom_pmf(ys, m, p)
     if law is None:
-        # Unstandardized R, with s*log(x) from math.log once per stratum;
-        # x = 0 gives log R = -inf, so R = 0 (x + y = 0 included).
-        s_log_x = np.array([s * math.log(x) if x else -math.inf for x in range(n + 1)])
+        # Unstandardized R, with log(x) from math.log once per stratum (glibc's,
+        # as in _log_gamma_stirling); x = 0 gives log R = -inf, so R = 0
+        # (x + y = 0 included). Scaled by s below.
+        s_log_x = np.empty(n + 1)
+        s_log_x[0] = -math.inf
+        s_log_x[1:] = np.fromiter(map(math.log, range(1, n + 1)), np.float64, n)
 
     # One pass over blocks of whole x-strata, each reduced to its weight, first
     # moment and second moment about its own mean; the strata are then
@@ -185,6 +188,8 @@ def _enumerate_moments(
     # beyond float range the moments are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
         r_log_t = _scaled_log_sums(n, m, r)
+        if law is None:
+            s_log_x *= s
         for lo in range(0, n + 1, rows):
             hi = min(lo + rows, n + 1)
             block = slice(lo * (m + 1), hi * (m + 1))

@@ -19,9 +19,9 @@ caller's thread keeps it until the thread ends or until a
 ``thread_generator_scope`` that caller opened closes. Streams never depend
 on this, because every draw re-keys the generator first.
 
-Standardization reads the integer counts as drawn, with no float copies: it
-forms x + y and the two logs in float64 and does every later step in place,
-so a batch of N draws costs two float arrays of length N. The x = 0
+A batch of N draws holds two arrays of length N at its peak, the counts as
+drawn: ``simulate_batch`` turns each to float64 in its own buffer, forms the
+statistic in those two buffers and sorts it where it lies. The x = 0
 conventions are applied by masks only when some count is zero.
 """
 
@@ -168,6 +168,7 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
 class SampleBatch:
     """Read-only simulated draws plus their degeneracy counts; no model or regime.
 
+    ``simulate_batch`` gives its ``values`` in ascending order;
     ``zero_numerator_count`` counts draws with x = 0 and
     ``zero_denominator_count`` those with x + y = 0; the batch size is
     ``len(values)``.
@@ -194,7 +195,7 @@ def _numeric(v) -> np.ndarray:
     return arr if arr.dtype.kind in "biuf" else arr.astype(np.float64)
 
 
-def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None):
+def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=False):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
     Here amp = exp(log_scale + log_center) and
@@ -204,34 +205,44 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None):
     x + y = 0 draw follows the same convention. Accepts scalars or arrays of
     any integer or float dtype; array inputs broadcast.
 
-    The counts are read as given, the sum and both logs are formed in
-    float64 and every later step runs in place on the sum's buffer; the
-    x = 0 and x + y = 0 masks apply only when some count is not positive.
-    A caller that already holds r*log(x + y), with log(0) read as log(1), in
-    the broadcast shape of x and y passes it as ``r_log_sum`` (it is only
-    read): the sum and its log are then not formed, and the result is bit
-    for bit the same. The exact oracle reads it from one table this way.
+    By default x and y are only read: the sum and s*log(x) are formed in
+    two new float64 arrays, and every later step runs in place on the
+    sum's. With ``in_place=True``, x and y must be float64 arrays of one
+    shape that the caller gives up: r*log(x + y) is formed in y's buffer,
+    s*log(x) in x's, and T is returned in y's, so no array of their length
+    is allocated. The x = 0 and x + y = 0 masks apply only when some count
+    is not positive. A caller that already holds r*log(x + y), with log(0)
+    read as log(1), in the broadcast shape of x and y passes it as
+    ``r_log_sum`` (it is only read): the sum and its log are then not
+    formed, and the result is bit for bit the same. The exact oracle reads
+    it from one table this way.
     """
     amp = math.exp(law.log_scale + law.log_center)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     x_arr, y_arr = _numeric(x), _numeric(y)
+    if in_place and not (x_arr is x and y_arr is y and x.shape == y.shape
+                         and x.dtype == y.dtype == np.float64 and r_log_sum is None):
+        raise ParameterError("in_place needs x and y as float64 arrays of one shape")
     # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
     masked = not (x_arr.size and y_arr.size and x_arr.min() > 0 and y_arr.min() >= 0)
     if masked and (np.any(x_arr < 0) or np.any(y_arr < 0)):
         raise ParameterError("counts must be nonnegative")
-    # beyond float range T is inf or NaN, unwarned: every caller rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # beyond float range T is inf or NaN, unwarned: every caller rejects it;
+    # log(0) is -inf, unwarned: the x = 0 mask replaces it by log(1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = None
         if r_log_sum is None:
-            out = r_log_sum = np.add(x_arr, y_arr, dtype=np.float64)
+            out = r_log_sum = np.add(x_arr, y_arr, out=y_arr if in_place else None,
+                                     dtype=np.float64)
             if masked:
                 np.copyto(out, 1.0, where=~(out > 0))
             np.log(out, out=out)
             out *= law.r
         if masked:
             x_pos = x_arr > 0
-            x_arr = np.where(x_pos, x_arr, 1)
-        delta = np.log(x_arr, dtype=np.float64)
+        delta = np.log(x_arr, out=x_arr if in_place else None, dtype=np.float64)
+        if masked:
+            np.copyto(delta, 0.0, where=~x_pos)
         delta *= law.s
         out = np.subtract(delta, r_log_sum, out=out)
         out -= law.log_center
@@ -248,14 +259,22 @@ def simulate_batch(
     """``count`` independent draws of the ratio statistic standardized by ``law``.
 
     Deterministic in (params, law, count, seed); ``law`` is the caller's
-    ``limit_law(params, regime)``. X and Y come from ``draw_counts``.
+    ``limit_law(params, regime)``. X and Y come from ``draw_counts``. The
+    values are returned in ascending order, not in draw order: the batch
+    owns its fresh counts, so each is turned to float64 in its own buffer,
+    the statistic is formed in those two buffers and sorted where it lies.
     """
     x, y = draw_counts(params, count, seed)
-    values = standardized_statistic(x, y, law)
     zero_num = zero_den = 0
     if x.min() == 0:
-        zero_num = int(np.count_nonzero(x == 0))
-        zero_den = int(np.count_nonzero((x == 0) & (y == 0)))
+        x_zero = x == 0
+        zero_num = int(np.count_nonzero(x_zero))
+        zero_den = int(np.count_nonzero(y[x_zero] == 0))
+    x_float, y_float = x.view(np.float64), y.view(np.float64)
+    x_float[...] = x  # an exact overlap: numpy casts element by element, no copy
+    y_float[...] = y
+    values = standardized_statistic(x_float, y_float, law, in_place=True)
+    values.sort()
     return SampleBatch(
         values=values, zero_numerator_count=zero_num, zero_denominator_count=zero_den
     )

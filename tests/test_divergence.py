@@ -10,7 +10,7 @@ from binratio import (
     compare_batches,
     kl_divergence,
 )
-from binratio.divergence import Histogram, histogram
+from binratio.divergence import Histogram, _ascending, histogram
 from binratio.sampling import SeedSpec, make_generator
 
 
@@ -243,6 +243,14 @@ class TestCompareBatches:
         b = np.array([0.5, 2.5, 1.5])
         compare_batches(a, b, Direction.FORWARD, 4)
         assert a.tolist() == [3.0, 1.0, 2.0] and b.tolist() == [0.5, 2.5, 1.5]
+
+    def test_ascending_sample_is_read_without_a_copy(self):
+        ordered = np.sort(make_generator(SeedSpec(6)).normal(size=1000))
+        assert _ascending(ordered) is ordered
+        for values in ([3.0, 1.0, 2.0], [0.5, np.nan, 1.0], [1.0, 2.0, np.nan]):
+            given = np.array(values)
+            got = _ascending(given)
+            assert got is not given and np.array_equal(got, np.sort(given), equal_nan=True)
 
     def test_refining_bins_does_not_decrease_forward_kl(self):
         rng_pairs = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ class TestModelParams:
         params = ModelParams(n=1, m=1, p=np.float64(0.25), s=2, r=np.float64(0.5))
         assert astuple(params) == (1, 1, 0.25, 2.0, 0.5)
         assert all(type(v) is float for v in (params.p, params.s, params.r))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_numpy_floats_check_without_warning(self, dtype):
+        # float_info.max cast to a narrow float warned "overflow encountered in cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = ModelParams(n=1, m=1, p=0.5, s=dtype(2.0), r=dtype(0.5))
+            assert (params.s, params.r) == (2.0, 0.5)
+            assert Regime.case_ii(dtype(1.5)).alpha == 1.5
+            with pytest.raises(ParameterError, match="s must be"):
+                ModelParams(n=1, m=1, p=0.5, s=dtype("inf"), r=1.0)
+            with pytest.raises(RegimeError):
+                Regime.case_ii(dtype(0.0))
+
+    def test_fraction_beyond_float_range_rejected_exactly(self):
+        # float() of it raises OverflowError, so it is compared as it is
+        with pytest.raises(ParameterError, match="r must be"):
+            ModelParams(n=1, m=1, p=0.5, s=1.0, r=Fraction(2**1026, 3))
 
     def test_numpy_scalar_p_overflow_is_one_clean_error(self):
         # in numpy, p ** (2(s-r)-1) warned and returned inf

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
@@ -374,6 +375,28 @@ class TestRunMemoryBudget:
         runner._check_run_size(most, 2)
         with pytest.raises(ParameterError, match="over the run memory budget"):
             runner._check_run_size(most + 1, 2)
+
+
+class TestRunPeakMemory:
+    """A run holds two sample-length float arrays at once, plus byte masks."""
+
+    @staticmethod
+    def peak_bytes_per_sample(params, regime, samples):
+        run_single(params, regime, samples=100)  # imports and the thread generator
+        tracemalloc.start()
+        try:
+            run_single(params, regime, samples=samples)
+            return tracemalloc.get_traced_memory()[1] / samples
+        finally:
+            tracemalloc.stop()
+
+    def test_positive_counts(self):
+        params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
+        assert self.peak_bytes_per_sample(params, Regime.case_ii(None), 10**5) <= 18
+
+    def test_zero_counts(self):
+        params = ModelParams(n=3, m=3, p=0.5, s=1.0, r=1.0)
+        assert self.peak_bytes_per_sample(params, Regime.case_ii(None), 10**5) <= 20
 
 
 class TestBoundDiagnostics:

@@ -300,6 +300,30 @@ class TestKernelMatchesReference:
                 reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
             )
 
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_in_place_matches_and_default_only_reads(self, zeros):
+        gen = np.random.default_rng(11)
+        x = gen.integers(1, 120, 500)
+        y = gen.integers(0, 8, 500)
+        if zeros:
+            x[:3], y[:2] = 0, 0  # x = 0 rows, one of them with x + y = 0
+        x_copy, y_copy = x.copy(), y.copy()
+        want = standardized_statistic(x, y, self.LAW)
+        assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
+        x_float, y_float = x.astype(np.float64), y.astype(np.float64)
+        got = standardized_statistic(x_float, y_float, self.LAW, in_place=True)
+        assert got is y_float
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize(
+        "x, y, r_log_sum",
+        [(np.ones(3), np.ones(3, np.int64), None), (np.ones(3), np.ones(4), None),
+         ([1.0, 2.0], [1.0, 2.0], None), (np.ones(3), np.ones(3), np.zeros(3))]
+    )
+    def test_in_place_needs_two_float64_arrays_of_one_shape(self, x, y, r_log_sum):
+        with pytest.raises(ParameterError, match="in_place"):
+            standardized_statistic(x, y, self.LAW, r_log_sum, in_place=True)
+
     @pytest.mark.parametrize(
         "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
                  (np.array([np.nan, -1.0]), np.array([1.0, 1.0]))]
@@ -466,6 +490,16 @@ class TestSimulateBatch:
         batch = simulate_batch(params, law, 10, SeedSpec(0))
         with pytest.raises(ValueError):
             batch.values[0] = 0.0
+
+    @pytest.mark.parametrize("n", [3, 1000])  # with and without x = 0 draws
+    def test_values_are_the_sorted_statistic_of_the_draws(self, n):
+        params = ModelParams(n=n, m=2 * n, p=0.3, s=2.0, r=1.5)
+        law = limit_law(params, Regime.case_ii(None))
+        seed = SeedSpec(21)
+        batch = simulate_batch(params, law, 3000, seed)
+        x, y = draw_counts(params, 3000, seed)
+        assert_bitwise(batch.values, np.sort(standardized_statistic(x, y, law)))
+        assert not batch.values.flags.writeable
 
 
 class TestReferenceNormalBatch:
