@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergence import DEFAULT_BIN_COUNT, Direction
 from .errors import BudgetError, ParameterError, RegimeError
-from .model import ModelParams, Regime, RegimeKind, limit_law
+from .model import ModelParams, Regime, RegimeKind, _integer, limit_law
 from .oracle import SUPPORT_LIMIT, exact_distribution
 from .runner import (
     DEFAULT_BOUND_SAMPLES,
@@ -171,14 +171,11 @@ def _spec_object(value, where: str, required, optional=()) -> dict:
     return value
 
 
-def _spec_number(obj: dict, key: str, where: str, kind=int):
-    """``obj[key]``, checked to be a non-bool ``kind``, and finite unless ``int``."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind) or (
-        kind is not int and not abs(value) <= sys.float_info.max
-    ):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ParameterError(f"{where} {key!r} must be {noun}, got {value!r}")
+def _spec_number(value, name: str):
+    """``value``, checked to be a finite JSON number: a non-bool int or float."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -197,13 +194,8 @@ def _spec_from_file(path: str) -> SweepSpec:
     grid = raw["grid"]
     if isinstance(grid, dict):
         _spec_object(grid, f"{where} grid", ("lo", "hi", "steps"))
-        lo = _spec_number(grid, "lo", f"{where} grid", kind=(int, float))
-        hi = _spec_number(grid, "hi", f"{where} grid", kind=(int, float))
-        steps = _spec_number(grid, "steps", f"{where} grid")
-        if not 1 <= steps <= SWEEP_RUN_LIMIT:
-            raise ParameterError(
-                f"{where} grid 'steps' must be in [1, {SWEEP_RUN_LIMIT}], got {steps}"
-            )
+        lo, hi = (_spec_number(grid[key], f"{where} grid {key!r}") for key in ("lo", "hi"))
+        steps = _integer(grid["steps"], f"{where} grid 'steps'", 1, SWEEP_RUN_LIMIT + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # ModelParams rejects inf, NaN
             grid = np.linspace(lo, hi, steps).tolist()
     elif not isinstance(grid, list):

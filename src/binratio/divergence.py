@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
+from .model import _integer
 
 __all__ = [
     "Direction",
@@ -40,6 +41,13 @@ DEFAULT_BIN_COUNT = 100
 class Direction(str, Enum):
     FORWARD = "forward"    # D(A || B): simulated relative to reference
     REVERSED = "reversed"  # D(B || A): reference relative to simulated
+
+
+def _direction(value) -> Direction:
+    """``value`` if it is a Direction, else a ParameterError."""
+    if not isinstance(value, Direction):
+        raise ParameterError(f"direction must be a Direction, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,7 @@ def common_bins(
     """
     if len(a_sorted) == 0 or len(b_sorted) == 0:
         raise ParameterError("both samples must be nonempty")
-    if bin_count < 2:
-        raise ParameterError(f"bin_count must be >= 2, got {bin_count!r}")
+    bin_count = _integer(bin_count, "bin_count", 2)
     for name, ordered in (("simulated", a_sorted), ("reference", b_sorted)):
         if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
             raise ParameterError(f"{name} sample holds a non-finite value (NaN or inf)")
@@ -136,13 +143,13 @@ def kl_divergence(
     roles. Bins with zero numerator mass contribute nothing; a bin with
     positive numerator mass but zero denominator mass has the denominator
     mass replaced by 1/(2N), N the denominator batch size, and is counted in
-    ``smoothed_bins``.
+    ``smoothed_bins``. A direction that is not a Direction is a ParameterError.
     """
     if a_hist.edges is not b_hist.edges and not np.array_equal(
         a_hist.edges, b_hist.edges
     ):
         raise ParameterError("histograms must share identical edges")
-    if direction is Direction.FORWARD:
+    if _direction(direction) is Direction.FORWARD:
         num, den, n_den = a_hist.mass, b_hist.mass, b_hist.count
     else:
         num, den, n_den = b_hist.mass, a_hist.mass, a_hist.count

@@ -11,11 +11,16 @@ r=..., p=... under case2 with alpha=...", with alpha under case 2 only.
 
 All centers and scales are carried in natural-log form so that exponents up
 to ~30 at trial counts up to ~2e9 stay representable.
+
+Every number enters through ``_integer`` or ``_positive_real``: Python and numpy
+integers and reals are stored as Python ints and floats; a bool, a non-integral
+value where an integer is due, or a value out of range is a ParameterError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -32,13 +37,29 @@ __all__ = [
 ]
 
 
-def _positive_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False  # a bool is an int to Python, but no model number
-    if not isinstance(value, Rational):
-        # a numpy float32 would cast float_info.max to its own type, warning
-        value = float(value)
-    return 0 < value <= sys.float_info.max  # exact for ints beyond float range
+def _integer(value, name: str, least: int, below: int | None = None) -> int:
+    """``value`` as a Python int in [least, below), through ``operator.index``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if number < least or (below is not None and number >= below):
+        most = "" if below is None else f" and <= {below - 1}"
+        raise ParameterError(f"{name} must be >= {least}{most}, got {value!r}")
+    return number
+
+
+def _positive_real(value, rule: str, error=ParameterError, below=math.inf) -> float:
+    """``value`` as a float in (0, below), else ``error``("<rule>, got <value>")."""
+    number = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        exact = value if isinstance(value, Rational) else float(value)  # compared exactly
+        number = float(value) if 0 < exact <= sys.float_info.max else math.nan
+    if not 0 < number < below:  # 0.0 too: a positive rational can round to it
+        raise error(f"{rule}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -47,8 +68,8 @@ class ModelParams:
 
     n, m are the trial counts of X and Y; p is the shared success probability
     (strictly interior); s and r are the positive numerator and denominator
-    exponents of R = X^s / (X+Y)^r. p, s and r are stored as Python floats,
-    whatever real type they are given as.
+    exponents of R = X^s / (X+Y)^r. n and m are stored as Python ints and p,
+    s and r as Python floats, whatever integer or real type they are given as.
     """
 
     n: int
@@ -58,20 +79,12 @@ class ModelParams:
     r: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if isinstance(self.m, bool) or not (isinstance(self.m, int) and self.m >= 1):
-            raise ParameterError(f"m must be a positive integer, got {self.m!r}")
-        if not (isinstance(self.p, Real) and 0.0 < self.p < 1.0):
-            raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
-        if not _positive_real(self.s):
-            raise ParameterError(f"s must be a positive real, got {self.s!r}")
-        if not _positive_real(self.r):
-            raise ParameterError(f"r must be a positive real, got {self.r!r}")
-        # stored as Python floats: a numpy scalar would compute in numpy,
-        # which warns and returns inf where Python raises OverflowError
-        for name in ("p", "s", "r"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        checked = (_integer(self.n, "n", 1), _integer(self.m, "m", 1),
+                   _positive_real(self.p, "p must lie strictly in (0, 1)", below=1.0),
+                   _positive_real(self.s, "s must be a positive real"),
+                   _positive_real(self.r, "r must be a positive real"))
+        for name, value in zip("nmpsr", checked):
+            object.__setattr__(self, name, value)
 
 
 class RegimeKind(str, Enum):
@@ -98,13 +111,11 @@ class Regime:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, RegimeKind):
             raise RegimeError(f"regime kind must be a RegimeKind, got {self.kind!r}")
-        if self.kind is RegimeKind.BALANCED:
-            if self.alpha is not None and not _positive_real(self.alpha):
-                raise RegimeError(
-                    f"balanced regime needs alpha > 0 and finite, got {self.alpha!r}"
-                )
-        elif self.alpha is not None:
+        if self.alpha is not None and self.kind is not RegimeKind.BALANCED:
             raise RegimeError(f"regime {self.kind.value} does not take alpha")
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _positive_real(
+                self.alpha, "balanced regime needs alpha > 0 and finite", RegimeError))
 
     @classmethod
     def case_i(cls) -> "Regime":

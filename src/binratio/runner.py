@@ -26,10 +26,11 @@ from .divergence import (
     DEFAULT_BIN_COUNT,
     Direction,
     DivergenceReport,
+    _direction,
     compare_batches,
 )
 from .errors import ParameterError
-from .model import ModelParams, Regime, RegimeKind, limit_law
+from .model import ModelParams, Regime, RegimeKind, _integer, limit_law
 from .sampling import (
     STREAMS_PER_RUN,
     SampleBatch,
@@ -81,18 +82,12 @@ SWEEP_RUN_LIMIT = 10**6
 MAX_THREADS = 256
 
 
-def _check_run_size(samples: int, bins: int) -> None:
-    """ParameterError unless a run of ``samples`` draws into ``bins`` bins is valid.
-
-    Valid means at least one sample, at least two bins, and an estimated peak
-    memory within ``RUN_MEMORY_BUDGET``.
-    """
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples!r}")
-    if bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins!r}")
+def _check_run_size(samples: int, bins: int) -> tuple[int, int]:
+    """``samples`` >= 1 and ``bins`` >= 2 as ints, if within ``RUN_MEMORY_BUDGET``."""
+    samples, bins = _integer(samples, "samples", 1), _integer(bins, "bins", 2)
     _check_memory(samples * _SAMPLE_BYTES + bins * _BIN_BYTES,
                   f"{samples} samples in {bins} bins")
+    return samples, bins
 
 
 def _check_memory(need: int, what: str) -> None:
@@ -110,9 +105,9 @@ class SweepSpec:
 
     ``vary`` names the swept field of ModelParams ('p', 's', 'r', 'm', 'n');
     ``grid`` is the explicit list of values it takes. A BALANCED regime with
-    alpha=None takes alpha = m/n at every grid point. ``direction``
-    None means the regime-based default. Every setting is defaulted and
-    checked here alone, so an invalid one fails before any draw.
+    alpha=None takes alpha = m/n at every grid point. ``direction`` None means
+    the regime-based default. Every setting is defaulted and checked here
+    alone, integers by ``model``'s rule, so an invalid one fails before any draw.
     """
 
     base: ModelParams
@@ -126,19 +121,20 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for key in ("replicates_per_point", "samples", "bins", "master_seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParameterError(f"{key!r} must be an integer, got {value!r}")
+        replicates = _integer(self.replicates_per_point, "replicates_per_point", 1)
+        samples, bins = _check_run_size(self.samples, self.bins)
+        seed = _integer(self.master_seed, "master_seed", 0, 2**64)
+        if self.direction is not None:
+            _direction(self.direction)
+        for key, value in dict(replicates_per_point=replicates, samples=samples, bins=bins,
+                               master_seed=seed, grid=tuple(self.grid)).items():
+            object.__setattr__(self, key, value)
         if self.vary not in ("p", "s", "r", "m", "n"):
             raise ParameterError(f"cannot vary {self.vary!r}")
-        runs = len(self.grid) * self.replicates_per_point
+        runs = len(self.grid) * replicates
         if not 1 <= runs <= SWEEP_RUN_LIMIT:
             raise ParameterError(f"a sweep holds 1 to {SWEEP_RUN_LIMIT} runs (grid "
                                  f"points times replicates_per_point), got {runs}")
-        _check_run_size(self.samples, self.bins)
-        SeedSpec(self.master_seed)
-        object.__setattr__(self, "grid", tuple(self.grid))
 
     def params_at(self, value) -> ModelParams:
         if self.vary in ("m", "n") and isinstance(value, float) and math.isfinite(value):
@@ -177,13 +173,14 @@ def run_single(
 ) -> SingleRunResult:
     """Simulate one batch, draw the matched Normal reference, compare.
 
-    ``samples`` and ``bins`` are checked before anything is drawn.
+    ``samples``, ``bins`` and ``direction`` are checked before any draw.
     """
-    _check_run_size(samples, bins)
+    samples, bins = _check_run_size(samples, bins)
+    collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
+    default = Direction.REVERSED if collapse else Direction.FORWARD
+    direction = _direction(default if direction is None else direction)
     start = time.perf_counter()
     law = limit_law(params, regime)
-    collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
-    direction = direction or (Direction.REVERSED if collapse else Direction.FORWARD)
     sim = simulate_batch(params, law, samples, seed)  # values come sorted
     ref = reference_normal_batch(law.variance, samples, seed)
     ref.sort()  # the run's own array: compare_batches then copies neither sample
@@ -221,8 +218,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     fast. Rows and the first failing run's error do not depend on ``threads``;
     once a share has failed, no share after it starts its runs.
     """
-    if not 1 <= threads <= MAX_THREADS:
-        raise ParameterError(f"threads must be >= 1 and <= {MAX_THREADS}, got {threads}")
+    threads = _integer(threads, "threads", 1, MAX_THREADS + 1)
     points = [spec.params_at(value) for value in spec.grid]
     for params in points:
         check_trials(params)
@@ -262,12 +258,10 @@ def run_bound_diagnostics(
 ) -> BoundDiagnosticsRow:
     """Analytic remainder bound next to empirical |scale * Q| quantiles.
 
-    A bound or quantile that is not finite is a ParameterError, and so is a
-    sample count below 1 or estimated above ``RUN_MEMORY_BUDGET``, before any
-    draw.
+    ``samples`` is checked before any draw, against ``RUN_MEMORY_BUDGET`` too;
+    a bound or quantile that is not finite is a ParameterError.
     """
-    if samples < 1:
-        raise ParameterError(f"sample count must be >= 1, got {samples!r}")
+    samples = _integer(samples, "samples", 1)
     _check_memory(samples * _BOUND_SAMPLE_BYTES, f"{samples} samples")
     law = limit_law(params, regime)
     x, y = draw_counts(params, samples, seed)

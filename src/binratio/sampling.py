@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import LimitLaw, ModelParams
+from .model import LimitLaw, ModelParams, _integer
 
 __all__ = [
     "STREAMS_PER_RUN",
@@ -56,18 +56,16 @@ __all__ = [
 class SeedSpec:
     """Keyed RNG stream identity: (master_seed, stream_index) -> Philox key.
 
-    Distinct stream indices under one master seed give statistically
-    independent streams; ``substream`` derives related streams.
+    Both are Python ints in [0, 2**64), by ``model``'s rule. Distinct stream indices
+    under one master seed give independent streams; ``substream`` derives related ones.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.master_seed < 2**64):
-            raise ParameterError("master_seed must fit in 64 unsigned bits")
-        if not (0 <= self.stream_index < 2**64):
-            raise ParameterError("stream_index must fit in 64 unsigned bits")
+        for name in ("master_seed", "stream_index"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, 2**64))
 
     def substream(self, offset: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, (self.stream_index + offset) % 2**64)
@@ -144,8 +142,7 @@ def check_trials(params: ModelParams) -> None:
 
 def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
     """Exact Binomial(n, p) draw(s) from an already-constructed generator."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n!r}")
+    n = _integer(n, "n", 1)
     if not (0.0 < p < 1.0):
         raise ParameterError(f"p must lie in (0, 1), got {p!r}")
     return gen.binomial(n, p, size=size)
@@ -156,8 +153,7 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
 
     Trial counts above ``MAX_TRIALS`` are a ParameterError (``check_trials``).
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count!r}")
+    count = _integer(count, "count", 1)
     check_trials(params)
     x = draw_binomial(params.n, params.p, _keyed_generator(seed.substream(0)), count)
     y = draw_binomial(params.m, params.p, _keyed_generator(seed.substream(1)), count)
@@ -282,8 +278,7 @@ def simulate_batch(
 
 def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> np.ndarray:
     """``count`` iid N(0, variance) draws from substream 2 of ``seed``; 0s at variance 0."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count!r}")
+    count = _integer(count, "count", 1)
     if not (variance >= 0 and math.isfinite(variance)):
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:

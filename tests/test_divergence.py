@@ -95,6 +95,11 @@ class TestCommonBins:
         with pytest.raises(ParameterError):
             common_bins(sorted_of([0.0]), sorted_of([1.0]), 1)
 
+    @pytest.mark.parametrize("bin_count", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_bin_count(self, bin_count):
+        with pytest.raises(ParameterError, match="bin_count must be an integer, got "):
+            common_bins(sorted_of([0.0]), sorted_of([1.0]), bin_count)
+
 
 class TestHistogram:
     def test_mass_sums_to_one_inside_range(self):
@@ -180,6 +185,14 @@ class TestKLDivergence:
         assert fwd.smoothed_bins == 3
         assert rev.smoothed_bins == 0
         assert math.isfinite(fwd.kl) and math.isfinite(rev.kl)
+
+    @pytest.mark.parametrize("direction", ["forward", "reversed", "sideways", None])
+    def test_direction_must_be_a_direction(self, direction):
+        # a value string equals its Direction but is not one; "forward" used
+        # to compute the reversed KL under the label "forward"
+        a, b = hist_of([0.5, 0.5]), hist_of([0.25, 0.75])
+        with pytest.raises(ParameterError, match="direction must be a Direction, got "):
+            kl_divergence(a, b, direction)
 
     def test_mismatched_edges_rejected(self):
         a = hist_of([0.5, 0.5], edges=[0, 1, 2])

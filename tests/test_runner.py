@@ -73,7 +73,11 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("setting, message", [
         ({"samples": 0}, "samples must be >= 1"), ({"bins": 1}, "bins must be >= 2"),
-    ], ids=["samples", "bins"])
+        ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+        ({"bins": True}, "bins must be an integer, got True"),
+        # the value string used to run, computing the reversed KL as "forward"
+        ({"direction": "forward"}, "direction must be a Direction, got 'forward'"),
+    ], ids=["samples", "bins", "samples_float", "bins_bool", "direction_str"])
     def test_settings_checked_before_any_draw(self, monkeypatch, setting, message):
         def no_draw(*args, **kw):
             raise AssertionError("simulate_batch called")
@@ -208,9 +212,10 @@ class TestRunSweep:
         {"samples": 10**12}, {"bins": 10**12}, {"samples": "5"}, {"bins": True},
         {"replicates_per_point": 2.0}, {"master_seed": None},
         {"replicates_per_point": 0}, {"replicates_per_point": runner.SWEEP_RUN_LIMIT},
+        {"direction": "sideways"},
     ], ids=["samples", "bins", "negative_seed", "wide_seed", "samples_over_budget",
             "bins_over_budget", "samples_str", "bins_bool", "replicates_float",
-            "seed_none", "no_replicates", "runs_over_limit"])
+            "seed_none", "no_replicates", "runs_over_limit", "direction_str"])
     def test_settings_checked_before_any_run(self, monkeypatch, setting):
         ran = []
         monkeypatch.setattr(runner, "run_single", lambda *args, **kw: ran.append(args))

@@ -350,6 +350,18 @@ class TestDrawCounts:
         with pytest.raises(ParameterError):
             draw_counts(params, count, SeedSpec(0))
 
+    @pytest.mark.parametrize("count", [3.0, 2.5, True, "3"])
+    def test_rejects_non_integer_count(self, count):
+        # a float count used to reach numpy and raise a raw TypeError
+        params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)
+        message = "count must be an integer, got "
+        with pytest.raises(ParameterError, match=message):
+            draw_counts(params, count, SeedSpec(0))
+        with pytest.raises(ParameterError, match=message):
+            reference_normal_batch(1.0, count, SeedSpec(0))
+        with pytest.raises(ParameterError, match="n must be an integer, got "):
+            draw_binomial(count, 0.5, make_generator(SeedSpec(0)), 3)
+
     @pytest.mark.parametrize("n, m", [(2**63, 10), (10, 2**63), (10**23, 100)])
     def test_rejects_trial_counts_above_int64(self, n, m):
         params = ModelParams(n=n, m=m, p=0.5, s=1.0, r=1.0)
