@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .model import _integer
+from .model import _instance, _integer
 
 __all__ = [
     "Direction",
@@ -41,13 +41,6 @@ DEFAULT_BIN_COUNT = 100
 class Direction(str, Enum):
     FORWARD = "forward"    # D(A || B): simulated relative to reference
     REVERSED = "reversed"  # D(B || A): reference relative to simulated
-
-
-def _direction(value) -> Direction:
-    """``value`` if it is a Direction, else a ParameterError."""
-    if not isinstance(value, Direction):
-        raise ParameterError(f"direction must be a Direction, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ def kl_divergence(
         a_hist.edges, b_hist.edges
     ):
         raise ParameterError("histograms must share identical edges")
-    if _direction(direction) is Direction.FORWARD:
+    if _instance(direction, Direction, "direction") is Direction.FORWARD:
         num, den, n_den = a_hist.mass, b_hist.mass, b_hist.count
     else:
         num, den, n_den = b_hist.mass, a_hist.mass, a_hist.count

@@ -62,6 +62,13 @@ def _positive_real(value, rule: str, error=ParameterError, below=math.inf) -> fl
     return number
 
 
+def _instance(value, kind: type, name: str, error=ParameterError):
+    """``value`` if it is a ``kind``, else ``error``("<name> must be a <kind>, ...")."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The quintuple (n, m, p, s, r) defining the two Binomials and exponents.
@@ -109,8 +116,7 @@ class Regime:
     alpha: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, RegimeKind):
-            raise RegimeError(f"regime kind must be a RegimeKind, got {self.kind!r}")
+        _instance(self.kind, RegimeKind, "regime kind", RegimeError)
         if self.alpha is not None and self.kind is not RegimeKind.BALANCED:
             raise RegimeError(f"regime {self.kind.value} does not take alpha")
         if self.alpha is not None:
@@ -189,8 +195,11 @@ def limit_law(params: ModelParams, regime: Regime) -> LimitLaw:
     regime without alpha takes alpha = m/n, which must then be a positive
     finite float. A variance that overflows (or is NaN), or underflows to 0,
     is a ParameterError naming s, r, p, the regime and, under case 2, the
-    alpha used; case 3 at r = s is the one exact 0.
+    alpha used; case 3 at r = s is the one exact 0. ``params`` that is not a
+    ModelParams is a ParameterError, ``regime`` that is not a Regime a RegimeError.
     """
+    _instance(params, ModelParams, "params")
+    _instance(regime, Regime, "regime", RegimeError)
     n, m, p, s, r = params.n, params.m, params.p, params.s, params.r
     log_center = s * math.log(n) - r * math.log(n + m) + (s - r) * math.log(p)
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,11 +28,10 @@ from .divergence import (
     DEFAULT_BIN_COUNT,
     Direction,
     DivergenceReport,
-    _direction,
     compare_batches,
 )
-from .errors import ParameterError
-from .model import ModelParams, Regime, RegimeKind, _integer, limit_law
+from .errors import ParameterError, RegimeError
+from .model import ModelParams, Regime, RegimeKind, _instance, _integer, limit_law
 from .sampling import (
     STREAMS_PER_RUN,
     SampleBatch,
@@ -74,8 +75,8 @@ _BIN_BYTES = 640
 # samples with n = 1e3 and 1e7; rounded up the same way.
 _BOUND_SAMPLE_BYTES = 48
 # Largest sweep, in runs (grid points times replicates). Besides its runs, a
-# sweep's peak RSS grows by about 420 bytes per run at any thread count (tasks
-# and rows; 480 with the CSV text), measured at 1e5 and 2e5 runs with
+# sweep's peak RSS grows by about 310 bytes per run at any thread count (its
+# rows; 500 with the CSV text), measured at 1e5 and 2e5 runs with
 # run_single stubbed: about 0.5 GB at the limit, within RUN_MEMORY_BUDGET.
 SWEEP_RUN_LIMIT = 10**6
 # Most threads and shares of a sweep; a thread holds one run's arrays at a time.
@@ -108,6 +109,7 @@ class SweepSpec:
     alpha=None takes alpha = m/n at every grid point. ``direction`` None means
     the regime-based default. Every setting is defaulted and checked here
     alone, integers by ``model``'s rule, so an invalid one fails before any draw.
+    Real values of ``m`` or ``n`` not of an integer type are rounded as floats are.
     """
 
     base: ModelParams
@@ -121,11 +123,13 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        _instance(self.base, ModelParams, "base")
+        _instance(self.regime, Regime, "regime", RegimeError)
         replicates = _integer(self.replicates_per_point, "replicates_per_point", 1)
         samples, bins = _check_run_size(self.samples, self.bins)
         seed = _integer(self.master_seed, "master_seed", 0, 2**64)
         if self.direction is not None:
-            _direction(self.direction)
+            _instance(self.direction, Direction, "direction")
         for key, value in dict(replicates_per_point=replicates, samples=samples, bins=bins,
                                master_seed=seed, grid=tuple(self.grid)).items():
             object.__setattr__(self, key, value)
@@ -137,8 +141,10 @@ class SweepSpec:
                                  f"points times replicates_per_point), got {runs}")
 
     def params_at(self, value) -> ModelParams:
-        if self.vary in ("m", "n") and isinstance(value, float) and math.isfinite(value):
-            value = int(round(value))  # anything else is left for ModelParams to reject
+        sized = self.vary in ("m", "n")  # integers and bools reach ModelParams as they are
+        if sized and isinstance(value, Real) and not isinstance(value, Integral):
+            with suppress(OverflowError, ValueError):  # not finite: ModelParams rejects it
+                value = int(round(float(value)))
         return replace(self.base, **{self.vary: value})
 
 
@@ -173,14 +179,15 @@ def run_single(
 ) -> SingleRunResult:
     """Simulate one batch, draw the matched Normal reference, compare.
 
-    ``samples``, ``bins`` and ``direction`` are checked before any draw.
+    ``samples``, ``bins``, the law and ``direction`` are checked before any draw.
     """
     samples, bins = _check_run_size(samples, bins)
+    start = time.perf_counter()
+    law = limit_law(params, regime)  # checks the types of params and regime
     collapse = regime.kind is RegimeKind.COLLAPSE  # degenerate: forward KL is moot
     default = Direction.REVERSED if collapse else Direction.FORWARD
-    direction = _direction(default if direction is None else direction)
-    start = time.perf_counter()
-    law = limit_law(params, regime)
+    direction = _instance(default if direction is None else direction,
+                          Direction, "direction")
     sim = simulate_batch(params, law, samples, seed)  # values come sorted
     ref = reference_normal_batch(law.variance, samples, seed)
     ref.sort()  # the run's own array: compare_batches then copies neither sample
@@ -189,14 +196,11 @@ def run_single(
     return SingleRunResult(report=report, simulated=sim, wall_time_ms=elapsed)
 
 
-def _point_seed(spec: SweepSpec, point: int, rep: int) -> SeedSpec:
-    index = point * spec.replicates_per_point + rep
-    return SeedSpec(spec.master_seed, index * STREAMS_PER_RUN)
-
-
-def _run_point(spec: SweepSpec, params: ModelParams, point: int, rep: int) -> SweepRow:
-    seed = _point_seed(spec, point, rep)
-    result = run_single(params, spec.regime, samples=spec.samples, bins=spec.bins,
+def _run_point(spec: SweepSpec, points: list[ModelParams], run: int) -> SweepRow:
+    """Sweep run ``run``, at grid point run // replicates_per_point."""
+    point = run // spec.replicates_per_point
+    seed = SeedSpec(spec.master_seed, run * STREAMS_PER_RUN)
+    result = run_single(points[point], spec.regime, samples=spec.samples, bins=spec.bins,
                         direction=spec.direction, seed=seed)
     return SweepRow(
         varied_param=spec.vary,
@@ -222,23 +226,22 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     points = [spec.params_at(value) for value in spec.grid]
     for params in points:
         check_trials(params)
-    reps = range(spec.replicates_per_point)
-    tasks = [(params, point, rep) for point, params in enumerate(points) for rep in reps]
-
-    size = math.ceil(len(tasks) / MAX_THREADS)  # at most MAX_THREADS shares, in order
+    runs = len(points) * spec.replicates_per_point
+    size = math.ceil(runs / MAX_THREADS)  # at most MAX_THREADS shares, in order
     failed = []  # starts of the failed shares; it only grows, by atomic appends
 
     def run_share(start: int) -> list[SweepRow]:
         if failed and start > min(failed):
             return []  # never read: the earlier failed share raises first
         try:  # stops at its first failure
-            return [_run_point(spec, *task) for task in tasks[start:start + size]]
+            return [_run_point(spec, points, run)
+                    for run in range(start, min(start + size, runs))]
         except Exception:
             failed.append(start)
             raise
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        shares = [pool.submit(run_share, start) for start in range(0, len(tasks), size)]
+        shares = [pool.submit(run_share, start) for start in range(0, runs, size)]
     return [row for share in shares for row in share.result()]  # in order, after the join
 
 

@@ -8,16 +8,17 @@ work is split across threads. Binomial draws use numpy's exact sampler
 draw is bounded independent of n.
 
 Stream layout, owned here: a run consumes ``STREAMS_PER_RUN`` substreams of
-its SeedSpec. ``draw_counts`` draws X from substream 0 and Y from substream
-1, ``reference_normal_batch`` draws from substream 2. All draw from one
-Philox generator per thread, re-keyed for each stream: resetting the key,
+its SeedSpec, substream k being stream index (stream_index + k) mod 2**64.
+``draw_counts`` draws X from substream 0 and Y from substream 1,
+``reference_normal_batch`` from substream 2. All draw from one Philox
+generator per thread, and every draw re-keys it first: resetting the key,
 the counter and the output buffer through the bit generator's ``state``
 gives exactly the stream a fresh ``make_generator`` would, for a fraction of
 the cost of building one. ``make_generator`` builds a thread's generator at
-its first draw. A CLI command drops it when the command ends; a library
-caller's thread keeps it until the thread ends or until a
-``thread_generator_scope`` that caller opened closes. Streams never depend
-on this, because every draw re-keys the generator first.
+its first draw, which re-keys it too. A CLI command drops it when the
+command ends; a library caller's thread keeps it until the thread ends or
+until a ``thread_generator_scope`` that caller opened closes. Streams never
+depend on this, because every draw re-keys the generator first.
 
 A batch of N draws holds two arrays of length N at its peak, the counts as
 drawn: ``simulate_batch`` turns each to float64 in its own buffer, forms the
@@ -57,7 +58,7 @@ class SeedSpec:
     """Keyed RNG stream identity: (master_seed, stream_index) -> Philox key.
 
     Both are Python ints in [0, 2**64), by ``model``'s rule. Distinct stream indices
-    under one master seed give independent streams; ``substream`` derives related ones.
+    under one master seed give independent streams; a run's substreams are consecutive.
     """
 
     master_seed: int
@@ -66,9 +67,6 @@ class SeedSpec:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_index"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 0, 2**64))
-
-    def substream(self, offset: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, (self.stream_index + offset) % 2**64)
 
 
 def make_generator(seed: SeedSpec) -> np.random.Generator:
@@ -86,19 +84,19 @@ _FRESH_BLOCK = (0, 0, 0, 0)
 _thread = threading.local()
 
 
-def _keyed_generator(seed: SeedSpec) -> np.random.Generator:
-    """This thread's generator, re-keyed to give ``make_generator(seed)``'s stream.
+def _keyed_generator(seed: SeedSpec, substream: int) -> np.random.Generator:
+    """This thread's generator, re-keyed to stream (stream_index + substream) mod 2**64.
 
-    The state of a freshly keyed Philox is counter 0, an exhausted output
-    buffer and no cached 32-bit half; the Generator's only other state, the
-    Binomial set-up cache, is a pure function of (n, p). The returned object
-    is shared: the next call on this thread re-keys it.
+    Every call re-keys, a thread's first one too. The state of a freshly
+    keyed Philox is counter 0, an exhausted output buffer and no cached
+    32-bit half; the Generator's only other state, the Binomial set-up
+    cache, is a pure function of (n, p). The returned object is shared: the
+    next call on this thread re-keys it.
     """
     gen = getattr(_thread, "generator", None)
     if gen is None:
-        _thread.generator = make_generator(seed)
-        return _thread.generator
-    key = (seed.master_seed, seed.stream_index)
+        gen = _thread.generator = make_generator(seed)
+    key = (seed.master_seed, (seed.stream_index + substream) % 2**64)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _FRESH_BLOCK, "key": key},
@@ -155,8 +153,8 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
     """
     count = _integer(count, "count", 1)
     check_trials(params)
-    x = draw_binomial(params.n, params.p, _keyed_generator(seed.substream(0)), count)
-    y = draw_binomial(params.m, params.p, _keyed_generator(seed.substream(1)), count)
+    x = draw_binomial(params.n, params.p, _keyed_generator(seed, 0), count)
+    y = draw_binomial(params.m, params.p, _keyed_generator(seed, 1), count)
     return x, y
 
 
@@ -283,4 +281,4 @@ def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> np.nd
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
     if variance == 0.0:
         return np.zeros(count)
-    return _keyed_generator(seed.substream(2)).normal(0.0, math.sqrt(variance), size=count)
+    return _keyed_generator(seed, 2).normal(0.0, math.sqrt(variance), size=count)

@@ -14,7 +14,11 @@ from binratio import (
     Regime,
     RegimeError,
     RegimeKind,
+    SweepSpec,
+    exact_distribution,
     limit_law,
+    run_bound_diagnostics,
+    run_single,
 )
 from binratio.model import _balanced_variance, _light_denominator_variance
 from binratio.runner import preset
@@ -206,6 +210,38 @@ class TestLimitLaw:
         params = ModelParams(n=1000, m=10, p=0.5, s=1e300, r=1.0)
         with pytest.raises(ParameterError, match="overflows"):
             limit_law(params, Regime.case_iii())
+
+
+# every entry point that makes a law, called with (params, regime)
+LAW_MAKERS = {
+    "limit_law": limit_law,
+    "run_single": lambda params, regime: run_single(params, regime, samples=100),
+    "run_bound_diagnostics": lambda params, regime: run_bound_diagnostics(
+        params, regime, samples=100),
+    "exact_distribution": exact_distribution,
+    "SweepSpec": lambda params, regime: SweepSpec(
+        base=params, regime=regime, vary="p", grid=(0.5,), samples=100),
+}
+
+
+@pytest.mark.parametrize("make", LAW_MAKERS.values(), ids=LAW_MAKERS)
+class TestArgumentTypes:
+    """A wrong params or regime type is one ParameterError or RegimeError."""
+
+    PARAMS = ModelParams(n=1000, m=1000, p=0.5, s=2.0, r=1.0)
+
+    def test_params_must_be_model_params(self, make):
+        with pytest.raises(ParameterError, match=r"must be a ModelParams, got \(1000, "):
+            make(astuple(self.PARAMS), Regime.case_ii(None))
+
+    def test_regime_must_be_a_regime(self, make):
+        with pytest.raises(RegimeError, match="regime must be a Regime, got 'case2'"):
+            make(self.PARAMS, "case2")
+
+
+def test_raw_oracle_params_must_be_model_params():
+    with pytest.raises(ParameterError, match=r"params must be a ModelParams, got \(1, 2\)"):
+        exact_distribution((1, 2))
 
 
 class TestVarianceConsistency:

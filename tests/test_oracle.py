@@ -18,6 +18,7 @@ from binratio import (
 )
 from binratio.oracle import (
     BLOCK_OUTCOMES,
+    ENUMERATION_BUDGET,
     EXP_SUBNORMAL_BELOW,
     EXP_ZERO_BELOW,
     SUPPORT_LIMIT,
@@ -355,6 +356,14 @@ class TestLogFactorials:
         # above x = 1e8 lgam drops the series' correction term
         x = np.arange(lo, hi, dtype=np.float64)
         assert_same_bits(_log_gamma_stirling(lo, hi), gammaln(x))
+
+    def test_one_polynomial_on_the_budgets_domain(self):
+        # 100 windows of 100 integers, log-uniform over 13 .. 5e7 + 1: every x
+        # a table under the enumeration budget can hold
+        top = ENUMERATION_BUDGET // 2 + 1
+        for lo in np.geomspace(13, top - 99, 100).astype(np.int64).tolist():
+            x = np.arange(lo, lo + 100, dtype=np.float64)
+            assert_same_bits(_log_gamma_stirling(lo, lo + 100), gammaln(x))
 
     @pytest.mark.parametrize("n, p", [
         (1, 0.5), (40, 0.3), (2400, 0.5), (3000, 0.999), (20000, 1e-6),

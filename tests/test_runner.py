@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from binratio import (
     run_sweep,
 )
 from binratio import runner, sampling
-from binratio.runner import PRESET_NAMES, _point_seed, preset
+from binratio.runner import PRESET_NAMES, preset
 from binratio.sampling import STREAMS_PER_RUN, SeedSpec, thread_generator_scope
 
 
@@ -246,7 +247,7 @@ class TestRunSweep:
         row = run_sweep(spec)[0]
         params = spec.params_at(2.0)
         result = run_single(params, spec.regime, samples=spec.samples,
-                            bins=spec.bins, seed=_point_seed(spec, 0, 0))
+                            bins=spec.bins, seed=SeedSpec(spec.master_seed, 0))
         assert row.kl == result.report.kl
         assert row.smoothed_bins == result.report.smoothed_bins
 
@@ -287,7 +288,7 @@ class TestRunSweep:
         rows = run_sweep(spec, threads=threads)
         assert len(submitted) <= runner.MAX_THREADS
         assert [row.seed for row in rows] == [
-            _point_seed(spec, point, rep) for point in range(2) for rep in range(5000)
+            SeedSpec(spec.master_seed, run * STREAMS_PER_RUN) for run in range(2 * 5000)
         ]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -338,6 +339,19 @@ class TestRunSweep:
         spec = small_spec(vary="p", grid=(0.5, 1.5))
         with pytest.raises(ParameterError):
             run_sweep(spec)
+
+    def test_real_size_values_round_as_floats_do(self):
+        # np.float32 (not a float subclass) used to reach ModelParams unrounded
+        spec = small_spec(vary="m")
+        want = spec.params_at(1000.4)
+        assert want.m == 1000
+        for value in (np.float32(1000.4), np.float64(1000.4), np.float16(1000.0),
+                      Fraction(5002, 5), Fraction(2001, 2)):
+            assert spec.params_at(value) == want
+        assert spec.params_at(np.int64(7)).m == 7
+        for value in (True, np.float32("inf"), np.float32("nan"), Fraction(10**400)):
+            with pytest.raises(ParameterError, match="m must be an integer, got "):
+                spec.params_at(value)
 
     def test_rejects_unknown_vary(self):
         with pytest.raises(ParameterError):

@@ -28,6 +28,11 @@ from binratio.sampling import (
 )
 
 
+def substream(seed, offset):
+    """The SeedSpec whose stream is substream ``offset`` of ``seed``."""
+    return SeedSpec(seed.master_seed, (seed.stream_index + offset) % 2**64)
+
+
 def reference_standardized_statistic(x, y, law):
     """The float-copy, always-masked formulation the kernel must match bitwise."""
     amp = math.exp(law.log_scale + law.log_center)
@@ -67,9 +72,11 @@ def exact_binomial_cdf(n, p):
 
 
 class TestSeedSpec:
-    def test_substream_offsets(self):
-        seed = SeedSpec(99, 5)
-        assert seed.substream(2) == SeedSpec(99, 7)
+    @pytest.mark.parametrize("index, key", [(5, 7), (2**64 - 1, 1)])
+    def test_substream_offsets(self, index, key):
+        with thread_generator_scope():  # a thread's first call re-keys too
+            state = _keyed_generator(SeedSpec(99, index), 2).bit_generator.state
+        assert state["state"]["key"].tolist() == [99, key]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -339,8 +346,8 @@ class TestDrawCounts:
     def test_matches_draws_on_substreams_0_and_1(self):
         n, m, seed = 1000, 2_000_000_000, SeedSpec(11, 5)
         x, y = draw_counts(ModelParams(n=n, m=m, p=0.3, s=1.0, r=1.0), 5000, seed)
-        want_x = draw_binomial(n, 0.3, make_generator(seed.substream(0)), 5000)
-        want_y = draw_binomial(m, 0.3, make_generator(seed.substream(1)), 5000)
+        want_x = draw_binomial(n, 0.3, make_generator(substream(seed, 0)), 5000)
+        want_y = draw_binomial(m, 0.3, make_generator(substream(seed, 1)), 5000)
         assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
         assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
 
@@ -397,9 +404,9 @@ class TestKeyedGenerator:
 
     @pytest.mark.parametrize("prior", PRIOR_USES)
     def test_rekey_reproduces_fresh_generator(self, prior):
-        gen = _keyed_generator(SeedSpec(3, 4))
+        gen = _keyed_generator(SeedSpec(3, 4), 0)
         _use(gen, prior)
-        gen = _keyed_generator(self.SEED)
+        gen = _keyed_generator(self.SEED, 0)
         fresh = make_generator(self.SEED)
         state, want = gen.bit_generator.state, fresh.bit_generator.state
         assert state["state"]["key"].tolist() == want["state"]["key"].tolist()
@@ -418,37 +425,37 @@ class TestKeyedGenerator:
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_one_generator_per_thread(self):
-        mine = _keyed_generator(SeedSpec(1))
+        mine = _keyed_generator(SeedSpec(1), 0)
         seen = []
         worker = threading.Thread(
-            target=lambda: seen.append(_keyed_generator(SeedSpec(1)))
+            target=lambda: seen.append(_keyed_generator(SeedSpec(1), 0))
         )
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive()
-        assert _keyed_generator(SeedSpec(2)) is mine
+        assert _keyed_generator(SeedSpec(2), 0) is mine
         assert seen[0] is not mine
 
     def test_scope_drops_the_thread_generator(self):
         with thread_generator_scope():
-            inside = _keyed_generator(SeedSpec(1))
-            assert _keyed_generator(SeedSpec(2)) is inside
-        after = _keyed_generator(SeedSpec(1))
+            inside = _keyed_generator(SeedSpec(1), 0)
+            assert _keyed_generator(SeedSpec(2), 0) is inside
+        after = _keyed_generator(SeedSpec(1), 0)
         assert after is not inside
         assert np.array_equal(after.normal(size=8), make_generator(SeedSpec(1)).normal(size=8))
 
     @pytest.mark.parametrize("prior", PRIOR_USES)
     def test_draws_match_fresh_generators_after_any_use(self, prior):
-        _use(_keyed_generator(SeedSpec(8)), prior)
+        _use(_keyed_generator(SeedSpec(8), 0), prior)
         params = ModelParams(n=40, m=3_000_000, p=0.35, s=1.0, r=1.0)
         x, y = draw_counts(params, 3000, self.SEED)
-        x_gen = make_generator(self.SEED.substream(0))
-        y_gen = make_generator(self.SEED.substream(1))
+        x_gen = make_generator(substream(self.SEED, 0))
+        y_gen = make_generator(substream(self.SEED, 1))
         assert np.array_equal(x, x_gen.binomial(40, 0.35, 3000))
         assert np.array_equal(y, y_gen.binomial(3_000_000, 0.35, 3000))
-        _use(_keyed_generator(SeedSpec(8)), prior)
+        _use(_keyed_generator(SeedSpec(8), 0), prior)
         ref = reference_normal_batch(2.5, 3000, self.SEED)
-        want = make_generator(self.SEED.substream(2)).normal(0.0, math.sqrt(2.5), size=3000)
+        want = make_generator(substream(self.SEED, 2)).normal(0.0, math.sqrt(2.5), size=3000)
         assert np.array_equal(ref.view(np.uint64), want.view(np.uint64))
 
 
@@ -491,8 +498,8 @@ class TestSimulateBatch:
         seed = SeedSpec(6)
         law = limit_law(params, Regime.case_ii(1.0))
         batch = simulate_batch(params, law, 2000, seed)
-        x = draw_binomial(3, 0.3, make_generator(seed.substream(0)), 2000)
-        y = draw_binomial(2, 0.3, make_generator(seed.substream(1)), 2000)
+        x = draw_binomial(3, 0.3, make_generator(substream(seed, 0)), 2000)
+        y = draw_binomial(2, 0.3, make_generator(substream(seed, 1)), 2000)
         assert batch.zero_numerator_count == np.count_nonzero(x == 0) > 0
         assert batch.zero_denominator_count == np.count_nonzero((x == 0) & (y == 0)) > 0
 
