@@ -22,14 +22,17 @@ __all__ = ["scaled_remainder_samples", "scaled_remainder_bound"]
 
 
 def scaled_remainder_samples(
-    params: ModelParams, law: LimitLaw, x: np.ndarray, y: np.ndarray
+    params: ModelParams, law: LimitLaw, x: np.ndarray, y: np.ndarray, *, in_place=False
 ) -> np.ndarray:
     """scale * Q(x_i, y_i) for arrays of observed counts, in log-safe form.
 
     Q(x, y) = f(x, y) - f(np, mp) - grad f(np, mp) . (x - np, y - mp), with
     f taken as 0 where x = 0. Computed as T_i minus the rescaled linear term,
     where T_i is the standardized statistic; both pieces are O(1) under the
-    law's scaling even when f itself would overflow or underflow.
+    law's scaling even when f itself would overflow or underflow. The linear
+    term is formed first; with ``in_place=True`` x and y are then given up
+    to ``standardized_statistic(..., in_place=True)`` and the result is
+    returned in y's buffer.
     """
     x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p
@@ -43,8 +46,10 @@ def scaled_remainder_samples(
             f"gradient at ({x0!r}, {y0!r}) divides by x*(x+y), which underflows to 0"
         ) from None
     sgy = -amp * params.r / t0
-    t_vals = standardized_statistic(x, y, law)
-    return t_vals - (sgx * (x - x0) + sgy * (y - y0))
+    linear = sgx * (x - x0) + sgy * (y - y0)
+    t_vals = standardized_statistic(x, y, law, in_place=in_place)
+    t_vals -= linear
+    return t_vals
 
 
 def scaled_remainder_bound(params: ModelParams, regime: Regime, law: LimitLaw) -> float:

@@ -36,6 +36,7 @@ from .sampling import (
     STREAMS_PER_RUN,
     SampleBatch,
     SeedSpec,
+    _float_counts,
     check_trials,
     draw_counts,
     reference_normal_batch,
@@ -71,8 +72,10 @@ DEFAULT_BOUND_SAMPLES = 10_000
 RUN_MEMORY_BUDGET = 2**32
 _SAMPLE_BYTES = 20
 _BIN_BYTES = 640
-# ``bound`` grows by 39 to 40 bytes per sample, measured at 1e6 and 4e6
-# samples with n = 1e3 and 1e7; rounded up the same way.
+# ``bound`` peaks at 32 bytes per sample under tracemalloc (the two count
+# buffers, the linear term and one temporary of it), measured at 1e6 and 4e6
+# samples with n = 1e3, 1e6 and 1e7. The estimate stays at the 48 it was when
+# the peak was 40, so the same requests are refused with the same message.
 _BOUND_SAMPLE_BYTES = 48
 # Largest sweep, in runs (grid points times replicates). Besides its runs, a
 # sweep's peak RSS grows by about 310 bytes per run at any thread count (its
@@ -270,8 +273,11 @@ def run_bound_diagnostics(
     x, y = draw_counts(params, samples, seed)
     # beyond float range the quantiles are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
-        q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
+        scaled_q = scaled_remainder_samples(
+            params, law, _float_counts(x), _float_counts(y), in_place=True
+        )
+        np.abs(scaled_q, out=scaled_q)
+        q50, q99 = np.quantile(scaled_q, [0.5, 0.99], overwrite_input=True)
     row = BoundDiagnosticsRow(
         bound=scaled_remainder_bound(params, regime, law),
         q50=float(q50),

@@ -189,7 +189,8 @@ def _numeric(v) -> np.ndarray:
     return arr if arr.dtype.kind in "biuf" else arr.astype(np.float64)
 
 
-def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=False):
+def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=False,
+                           out=None):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
     Here amp = exp(log_scale + log_center) and
@@ -209,7 +210,10 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=Fals
     read as log(1), in the broadcast shape of x and y passes it as
     ``r_log_sum`` (it is only read): the sum and its log are then not
     formed, and the result is bit for bit the same. The exact oracle reads
-    it from one table this way.
+    it from one table this way, and also passes ``out``: a float64 array of
+    the broadcast shape of x and y that T is formed in and returned as, so
+    no array of that shape is allocated. ``out`` needs ``r_log_sum`` and
+    excludes ``in_place``.
     """
     amp = math.exp(law.log_scale + law.log_center)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
@@ -217,6 +221,15 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=Fals
     if in_place and not (x_arr is x and y_arr is y and x.shape == y.shape
                          and x.dtype == y.dtype == np.float64 and r_log_sum is None):
         raise ParameterError("in_place needs x and y as float64 arrays of one shape")
+    if out is not None and not (
+        r_log_sum is not None and not in_place and isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == np.broadcast_shapes(x_arr.shape, y_arr.shape)
+    ):
+        raise ParameterError(
+            "out needs r_log_sum, no in_place and a float64 array of x and y's "
+            "broadcast shape"
+        )
     # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
     masked = not (x_arr.size and y_arr.size and x_arr.min() > 0 and y_arr.min() >= 0)
     if masked and (np.any(x_arr < 0) or np.any(y_arr < 0)):
@@ -224,7 +237,6 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=Fals
     # beyond float range T is inf or NaN, unwarned: every caller rejects it;
     # log(0) is -inf, unwarned: the x = 0 mask replaces it by log(1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = None
         if r_log_sum is None:
             out = r_log_sum = np.add(x_arr, y_arr, out=y_arr if in_place else None,
                                      dtype=np.float64)
@@ -247,6 +259,13 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=Fals
     return float(out[0]) if scalar else out
 
 
+def _float_counts(counts: np.ndarray) -> np.ndarray:
+    """int64 ``counts`` turned to float64 in their own buffer, returned as that view."""
+    as_float = counts.view(np.float64)
+    as_float[...] = counts  # an exact overlap: numpy casts element by element, no copy
+    return as_float
+
+
 def simulate_batch(
     params: ModelParams, law: LimitLaw, count: int, seed: SeedSpec
 ) -> SampleBatch:
@@ -264,10 +283,7 @@ def simulate_batch(
         x_zero = x == 0
         zero_num = int(np.count_nonzero(x_zero))
         zero_den = int(np.count_nonzero(y[x_zero] == 0))
-    x_float, y_float = x.view(np.float64), y.view(np.float64)
-    x_float[...] = x  # an exact overlap: numpy casts element by element, no copy
-    y_float[...] = y
-    values = standardized_statistic(x_float, y_float, law, in_place=True)
+    values = standardized_statistic(_float_counts(x), _float_counts(y), law, in_place=True)
     values.sort()
     return SampleBatch(
         values=values, zero_numerator_count=zero_num, zero_denominator_count=zero_den

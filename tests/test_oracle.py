@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import binratio.oracle
 from binratio import (
     BudgetError,
     ModelParams,
@@ -315,6 +317,49 @@ class TestOnePassEquivalence:
         got = self.check(30, 20, 0.3, 1.0, 0.0)
         assert got.mean == pytest.approx(30 * 0.3, rel=1e-12)
         assert got.variance == pytest.approx(30 * 0.3 * 0.7, rel=1e-12)
+
+
+class TestBlockSize:
+    """Every reduction spans whole rows, so the block size changes no bit."""
+
+    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)], ids=["raw", "case2"])
+    @pytest.mark.parametrize("n, m, p", [
+        (700, 800, 0.3),  # support kept
+        (1600, 2400, 0.5),  # moments only
+    ])
+    def test_moments_and_support_do_not_depend_on_it(self, monkeypatch, n, m, p, regime):
+        law = None
+        if regime is not None:
+            law = limit_law(ModelParams(n=n, m=m, p=p, s=2.0, r=1.0), regime)
+        # one row per block, 16k and 64k outcomes, and 5 rows: all but one
+        # leave a ragged last block
+        sizes = (1, 2**14, 2**16, 5 * (m + 1) + 3)
+        assert any((n + 1) % max(1, size // (m + 1)) for size in sizes)
+        got = []
+        for size in sizes:
+            monkeypatch.setattr(binratio.oracle, "BLOCK_OUTCOMES", size)
+            got.append(_enumerate_moments(n, m, p, 2.0, 1.0, law))
+        for other in got[1:]:
+            for key in ("mean", "variance", "probability_total"):
+                assert getattr(other, key) == getattr(got[0], key), key
+            if got[0].values is None:
+                assert other.values is None and other.probabilities is None
+            else:
+                assert other.values.tobytes() == got[0].values.tobytes()
+                assert other.probabilities.tobytes() == got[0].probabilities.tobytes()
+
+    def test_no_block_sized_array_per_block(self):
+        # the three block buffers take about 1.1 MB here; arrays allocated
+        # afresh in every block would push the peak above 2 MB
+        params = ModelParams(n=1600, m=2400, p=0.5, s=2.0, r=1.0)
+        exact_distribution(params, Regime.case_ii(None))
+        tracemalloc.start()
+        try:
+            exact_distribution(params, Regime.case_ii(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
 
 def assert_same_bits(got, want):

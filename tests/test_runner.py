@@ -20,6 +20,8 @@ from binratio import (
     run_sweep,
 )
 from binratio import runner, sampling
+from binratio.calculus import scaled_remainder_samples
+from binratio.model import limit_law
 from binratio.runner import PRESET_NAMES, preset
 from binratio.sampling import STREAMS_PER_RUN, SeedSpec, thread_generator_scope
 
@@ -441,6 +443,36 @@ class TestBoundDiagnostics:
         )
         assert collapse.bound > 1.0
         assert collapse.q100 >= collapse.q99 >= collapse.q50 >= 0.0
+
+    @pytest.mark.parametrize("params, regime", [
+        (ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0), Regime.case_ii(None)),
+        (ModelParams(n=3, m=3, p=0.5, s=1.0, r=1.0), Regime.case_ii(None)),  # x = 0
+        (ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0),
+         Regime.collapse()),
+    ], ids=["fig3", "zero_counts", "collapse"])
+    def test_same_bits_as_the_copying_path(self, params, regime):
+        # the quantiles of |scale * Q| formed from counts that stay as drawn
+        seed = SeedSpec(5)
+        law = limit_law(params, regime)
+        with thread_generator_scope():
+            x, y = sampling.draw_counts(params, 5000, seed)
+        scaled_q = np.abs(scaled_remainder_samples(params, law, x, y))
+        q50, q99 = np.quantile(scaled_q, [0.5, 0.99])
+        with thread_generator_scope():
+            row = run_bound_diagnostics(params, regime, samples=5000, seed=seed)
+        assert (row.q50, row.q99, row.q100) == (q50, q99, scaled_q.max())
+
+    def test_peak_memory_per_sample(self):
+        # the two count buffers, the linear term and one temporary of it
+        params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
+        run_bound_diagnostics(params, Regime.case_ii(None), samples=100)
+        tracemalloc.start()
+        try:
+            run_bound_diagnostics(params, Regime.case_ii(None), samples=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 10**5 <= 33
 
     def test_non_finite_quantiles_rejected(self):
         # case 3 at r = s: the variance is exactly 0, scale * center

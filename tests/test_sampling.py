@@ -331,6 +331,42 @@ class TestKernelMatchesReference:
         with pytest.raises(ParameterError, match="in_place"):
             standardized_statistic(x, y, self.LAW, r_log_sum, in_place=True)
 
+    @staticmethod
+    def oracle_window(xs, ys, r):
+        t = np.maximum(np.arange(len(xs) + len(ys) - 1), 1)
+        table = np.log(t, dtype=np.float64) * r
+        return np.lib.stride_tricks.sliding_window_view(table, len(ys))
+
+    def test_out_is_returned_with_the_allocating_bits(self):
+        # as the oracle passes it: the leading rows of a larger buffer
+        xs, ys = np.arange(121), np.arange(81)
+        window = self.oracle_window(xs, ys, self.LAW.r)
+        buffer = np.full((50, 81), np.nan)
+        for lo, hi in [(0, 40), (40, 90), (90, 121)]:  # x = 0 and x + y = 0 in the first
+            out = buffer[: hi - lo]
+            got = standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
+                                         r_log_sum=window[lo:hi], out=out)
+            assert got is out
+            assert_bitwise(got, standardized_statistic(
+                xs[lo:hi, None], ys[None, :], self.LAW, r_log_sum=window[lo:hi]))
+
+    @pytest.mark.parametrize("out, r_log_sum, in_place", [
+        (np.empty((4, 6)), True, False),  # wrong shape
+        (np.empty((3, 5)), True, False),
+        (np.empty((3, 6), np.float32), True, False),  # wrong dtype
+        ([[0.0] * 6] * 3, True, False),  # not an array
+        (np.empty((3, 6)), False, False),  # no r_log_sum
+        (np.empty((3, 6)), False, True),  # with in_place
+    ], ids=["rows", "columns", "float32", "list", "no_r_log_sum", "in_place"])
+    def test_out_needs_r_log_sum_and_a_float64_array_of_the_shape(
+        self, out, r_log_sum, in_place
+    ):
+        xs, ys = np.arange(1.0, 4.0), np.arange(6.0)
+        x, y = (np.ascontiguousarray(a) for a in np.broadcast_arrays(xs[:, None], ys))
+        window = self.oracle_window(np.arange(4), ys, self.LAW.r)[1:] if r_log_sum else None
+        with pytest.raises(ParameterError, match="out needs"):
+            standardized_statistic(x, y, self.LAW, window, in_place=in_place, out=out)
+
     @pytest.mark.parametrize(
         "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
                  (np.array([np.nan, -1.0]), np.array([1.0, 1.0]))]
