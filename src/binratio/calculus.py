@@ -1,8 +1,9 @@
 """The quadratic Taylor remainder of f(x, y) = x^s / (x+y)^r and its bound.
 
 ``scaled_remainder_samples`` gives the remainder Q of f at the mean point
-(np, mp) after the regime's rescaling; it is the one implementation of Q:
-Q itself is ``scaled_remainder_samples(params, law, x, y)`` divided by
+(np, mp) after the regime's rescaling, in the float64 counts' own buffers;
+it is the one implementation of Q: Q itself is
+``scaled_remainder_samples(params, law, x, y)`` divided by
 ``math.exp(law.log_scale)``. ``scaled_remainder_bound`` is the analytic
 bound on it. No command needs the gradient, Hessian or Hessian norm bound
 of f that the proof uses; their closed forms are in tests/delta_method.py.
@@ -22,19 +23,18 @@ __all__ = ["scaled_remainder_samples", "scaled_remainder_bound"]
 
 
 def scaled_remainder_samples(
-    params: ModelParams, law: LimitLaw, x: np.ndarray, y: np.ndarray, *, in_place=False
+    params: ModelParams, law: LimitLaw, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """scale * Q(x_i, y_i) for arrays of observed counts, in log-safe form.
+    """scale * Q(x_i, y_i) for float64 arrays of observed counts, in log-safe form.
 
     Q(x, y) = f(x, y) - f(np, mp) - grad f(np, mp) . (x - np, y - mp), with
     f taken as 0 where x = 0. Computed as T_i minus the rescaled linear term,
     where T_i is the standardized statistic; both pieces are O(1) under the
     law's scaling even when f itself would overflow or underflow. The linear
-    term is formed first; with ``in_place=True`` x and y are then given up
-    to ``standardized_statistic(..., in_place=True)`` and the result is
-    returned in y's buffer.
+    term is formed first; x and y are then given up to
+    ``standardized_statistic`` as its working buffers, as its first contract
+    asks, and the result is returned in y's buffer.
     """
-    x, y = np.asarray(x), np.asarray(y)
     x0, y0 = params.n * params.p, params.m * params.p
     t0 = x0 + y0
     amp = math.exp(law.log_scale + law.log_center)  # scale * f(np, mp)
@@ -47,7 +47,7 @@ def scaled_remainder_samples(
         ) from None
     sgy = -amp * params.r / t0
     linear = sgx * (x - x0) + sgy * (y - y0)
-    t_vals = standardized_statistic(x, y, law, in_place=in_place)
+    t_vals = standardized_statistic(x, y, law)
     t_vals -= linear
     return t_vals
 

@@ -1,17 +1,15 @@
 """Common binning and discrete KL divergence for comparing two samples.
 
 Both samples are histogrammed on equal-width bins spanning their pooled
-range, then compared with the discrete KL divergence. ``compare_batches``
-reads a sample that is already ascending as it is and sorts any other once,
-into a copy; the pooled range comes from the sorted ends
-(``common_bins``) and every bin boundary from one binary search of the same
-sorted values (``histogram``). The functions take plain arrays;
-``common_bins`` and ``histogram`` take them already sorted and, like
-``np.searchsorted``, do not check the order. Every comparison names its
-direction, and nothing here chooses it from the samples. The runner picks
-it from the regime alone: reversed under the collapse regime, whose limit
-is a point mass that makes the forward divergence uninformative, and
-forward otherwise.
+range, then compared with the discrete KL divergence. The functions take
+plain arrays, and ``compare_batches``, ``common_bins`` and ``histogram``
+take them already sorted and, like ``np.searchsorted``, do not check the
+order: the pooled range comes from the sorted ends (``common_bins``) and
+every bin boundary from one binary search of the same sorted values
+(``histogram``). Every comparison names its direction, and nothing here
+chooses it from the samples. The runner picks it from the regime alone:
+reversed under the collapse regime, whose limit is a point mass that makes
+the forward divergence uninformative, and forward otherwise.
 """
 
 from __future__ import annotations
@@ -160,16 +158,6 @@ def kl_divergence(
     )
 
 
-def _ascending(values) -> np.ndarray:
-    """``values`` if already in ``np.sort`` order, else a sorted copy.
-
-    The check costs a small fraction of sorting a sorted array again; a NaN
-    fails it, so a sample holding one is sorted, NaN last.
-    """
-    values = np.asarray(values)
-    return values if (values[:-1] <= values[1:]).all() else np.sort(values)
-
-
 def compare_batches(
     a: np.ndarray,
     b: np.ndarray,
@@ -178,14 +166,11 @@ def compare_batches(
 ) -> DivergenceReport:
     """Full comparison: common bins, two histograms, KL in one direction.
 
-    ``a`` is the simulated sample, ``b`` the reference; neither is modified.
-    A sample already in ascending order is read as it is, any other is
-    sorted once into a copy, and both the edges and the bins are read from
-    the sorted samples. The report's ``histograms`` are theirs, in that
+    ``a`` is the simulated sample, ``b`` the reference, both already in
+    ``np.sort`` order (NaN last) and only read. As for ``common_bins`` and
+    ``histogram``, the order is not checked, and an unsorted sample gives
+    wrong edges or counts. The report's ``histograms`` are theirs, in that
     order.
     """
-    a_sorted, b_sorted = _ascending(a), _ascending(b)
-    edges = common_bins(a_sorted, b_sorted, bin_count)
-    return kl_divergence(
-        histogram(a_sorted, edges), histogram(b_sorted, edges), direction
-    )
+    edges = common_bins(a, b, bin_count)
+    return kl_divergence(histogram(a, edges), histogram(b, edges), direction)

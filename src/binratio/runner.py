@@ -36,7 +36,6 @@ from .sampling import (
     STREAMS_PER_RUN,
     SampleBatch,
     SeedSpec,
-    _float_counts,
     check_trials,
     draw_counts,
     reference_normal_batch,
@@ -72,11 +71,10 @@ DEFAULT_BOUND_SAMPLES = 10_000
 RUN_MEMORY_BUDGET = 2**32
 _SAMPLE_BYTES = 20
 _BIN_BYTES = 640
-# ``bound`` peaks at 32 bytes per sample under tracemalloc (the two count
-# buffers, the linear term and one temporary of it), measured at 1e6 and 4e6
-# samples with n = 1e3, 1e6 and 1e7. The estimate stays at the 48 it was when
-# the peak was 40, so the same requests are refused with the same message.
-_BOUND_SAMPLE_BYTES = 48
+# ``bound``'s peak RSS grows by 32.1 to 32.7 bytes per sample (the two count
+# buffers, the linear term and one temporary of it; 32 under tracemalloc),
+# measured at 1e6 and 4e6 samples with n = 3, 1e3, 1e6 and 1e7; rounded up.
+_BOUND_SAMPLE_BYTES = 36
 # Largest sweep, in runs (grid points times replicates). Besides its runs, a
 # sweep's peak RSS grows by about 310 bytes per run at any thread count (its
 # rows; 500 with the CSV text), measured at 1e5 and 2e5 runs with
@@ -95,11 +93,14 @@ def _check_run_size(samples: int, bins: int) -> tuple[int, int]:
 
 
 def _check_memory(need: int, what: str) -> None:
-    """ParameterError if ``need`` bytes exceed ``RUN_MEMORY_BUDGET``."""
+    """ParameterError if ``need`` bytes exceed ``RUN_MEMORY_BUDGET``.
+
+    The message gives both in MiB, the need rounded up, so it reads above the budget.
+    """
     if need > RUN_MEMORY_BUDGET:
         raise ParameterError(
-            f"{what} need about {need >> 30} GiB, "
-            f"over the run memory budget of {RUN_MEMORY_BUDGET >> 30} GiB"
+            f"{what} need about {-(-need >> 20)} MiB, "
+            f"over the run memory budget of {RUN_MEMORY_BUDGET >> 20} MiB"
         )
 
 
@@ -193,7 +194,7 @@ def run_single(
                           Direction, "direction")
     sim = simulate_batch(params, law, samples, seed)  # values come sorted
     ref = reference_normal_batch(law.variance, samples, seed)
-    ref.sort()  # the run's own array: compare_batches then copies neither sample
+    ref.sort()  # the run's own array; compare_batches takes both samples sorted
     report = compare_batches(sim.values, ref, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(report=report, simulated=sim, wall_time_ms=elapsed)
@@ -273,9 +274,7 @@ def run_bound_diagnostics(
     x, y = draw_counts(params, samples, seed)
     # beyond float range the quantiles are inf or NaN, unwarned: checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled_q = scaled_remainder_samples(
-            params, law, _float_counts(x), _float_counts(y), in_place=True
-        )
+        scaled_q = scaled_remainder_samples(params, law, x, y)
         np.abs(scaled_q, out=scaled_q)
         q50, q99 = np.quantile(scaled_q, [0.5, 0.99], overwrite_input=True)
     row = BoundDiagnosticsRow(

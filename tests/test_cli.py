@@ -149,7 +149,7 @@ class TestSimulate:
     @pytest.mark.parametrize("size", [
         ["--samples", "1000000000000"],
         ["--samples", "100", "--bins", "1000000000000"],
-        ["--samples", str(10**400)],  # the GiB it needs are no float
+        ["--samples", str(10**400)],  # the MiB it needs are no float
     ], ids=["samples", "bins", "samples_beyond_float"])
     def test_over_memory_budget_exit_2_before_any_draw(self, capsys, monkeypatch, size):
         drawn = []

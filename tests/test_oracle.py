@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from read_only import statistic
 from scipy.special import gammaln
 
 import binratio.oracle
@@ -31,7 +32,7 @@ from binratio.oracle import (
     _log_gamma_stirling,
     _scaled_log_sums,
 )
-from binratio.sampling import SeedSpec, standardized_statistic
+from binratio.sampling import SeedSpec
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -43,7 +44,7 @@ def two_pass_reference(n, m, p, s, r, law):
 
     def row_values(x):
         if law is not None:
-            return standardized_statistic(np.full(len(ys), x), ys, law)
+            return statistic(np.full(len(ys), x), ys, law)
         if x == 0:
             return np.zeros(len(ys))
         t = x + ys.astype(np.float64)
@@ -99,7 +100,7 @@ def full_exp_reference(n, m, p, s, r, law):
             t[t == 0] = 1.0
             val = np.exp(s_log_x[lo:hi, None] - r * np.log(t))
         else:
-            val = standardized_statistic(xs[lo:hi, None], ys[None, :], law)
+            val = statistic(xs[lo:hi, None], ys[None, :], law)
         w[lo:hi] = prob.sum(axis=1)
         pv[lo:hi] = np.einsum("ij,ij->i", prob, val)
         np.divide(pv[lo:hi], w[lo:hi], out=mu[lo:hi], where=w[lo:hi] > 0)
@@ -200,7 +201,7 @@ class TestExactDistribution:
         params = ModelParams(n=n, m=n, p=0.5, s=1.0, r=r)
         regime = Regime.case_ii(None)
         xs = np.arange(n + 1)
-        val = standardized_statistic(xs[:, None], xs[None, :], limit_law(params, regime))
+        val = statistic(xs[:, None], xs[None, :], limit_law(params, regime))
         lp = _log_binom_pmf(xs, n, 0.5)
         prob = np.exp(lp[:, None] + lp[None, :])
         with np.errstate(over="ignore"):

@@ -397,6 +397,24 @@ class TestRunMemoryBudget:
         with pytest.raises(ParameterError, match="over the run memory budget"):
             runner._check_run_size(most + 1, 2)
 
+    def test_largest_bound_within_budget(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted  # the size passed the check; nothing is drawn
+
+        monkeypatch.setattr(runner, "draw_counts", admitted)
+        budget = runner.RUN_MEMORY_BUDGET
+        most = budget // runner._BOUND_SAMPLE_BYTES
+        with pytest.raises(Admitted):
+            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(None), samples=most)
+        # the need is rounded up, so it reads above the budget it names
+        message = (f"{most + 1} samples need about {(budget >> 20) + 1} MiB, "
+                   f"over the run memory budget of {budget >> 20} MiB")
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(None), samples=most + 1)
+
 
 class TestRunPeakMemory:
     """A run holds two sample-length float arrays at once, plus byte masks."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from read_only import statistic
 from scipy.special import gammaln
 
 from binratio import (
@@ -139,7 +140,7 @@ class TestStandardizedStatistic:
     def test_zero_at_expansion_point(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
-        t = standardized_statistic(50, 50, law)
+        t = statistic(50, 50, law)
         amp = math.exp(law.log_scale + law.log_center)
         assert abs(t) < 1e-12 * amp
 
@@ -147,7 +148,7 @@ class TestStandardizedStatistic:
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
         direct = math.exp(law.log_scale) * (60 / 110 - 0.5)
-        assert standardized_statistic(60, 50, law) == pytest.approx(direct, rel=1e-12)
+        assert statistic(60, 50, law) == pytest.approx(direct, rel=1e-12)
 
     def test_finite_under_extreme_exponents(self):
         # x^30 ~ 1e170 overflows, but the log-space path stays finite
@@ -156,7 +157,7 @@ class TestStandardizedStatistic:
         law = limit_law(params, Regime.case_ii(1.0))
         sigma = math.sqrt(n * 0.25)
         x = np.arange(n / 2 - 10 * sigma, n / 2 + 10 * sigma, 50.0)
-        t = standardized_statistic(x, np.full_like(x, m / 2), law)
+        t = statistic(x, np.full_like(x, m / 2), law)
         assert np.all(np.isfinite(t))
         assert np.max(np.abs(t)) < 1e3
 
@@ -164,22 +165,22 @@ class TestStandardizedStatistic:
         params = ModelParams(n=10, m=10, p=0.5, s=1.5, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
         amp = math.exp(law.log_scale + law.log_center)
-        assert standardized_statistic(0, 7, law) == pytest.approx(-amp)
-        assert standardized_statistic(0, 0, law) == pytest.approx(-amp)
+        assert statistic(0, 7, law) == pytest.approx(-amp)
+        assert statistic(0, 0, law) == pytest.approx(-amp)
 
     def test_monotone_in_x_for_fixed_sum(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
         total = 110
         x = np.arange(1, total)
-        t = standardized_statistic(x, total - x, law)
+        t = statistic(x, total - x, law)
         assert np.all(np.diff(t) > 0)
 
     def test_monotone_decreasing_in_y_for_fixed_x(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.5)
         law = limit_law(params, Regime.case_ii(1.0))
         y = np.arange(0, 200)
-        t = standardized_statistic(np.full_like(y, 55), y, law)
+        t = statistic(np.full_like(y, 55), y, law)
         assert np.all(np.diff(t) < 0)
 
     def test_broadcast_grid_matches_rows(self):
@@ -187,9 +188,9 @@ class TestStandardizedStatistic:
         params = ModelParams(n=40, m=60, p=0.3, s=2.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.5))
         xs, ys = np.arange(41), np.arange(61)
-        grid = standardized_statistic(xs[:, None], ys[None, :], law)
+        grid = statistic(xs[:, None], ys[None, :], law)
         assert grid.shape == (41, 61)
-        rows = np.stack([standardized_statistic(np.full(61, x), ys, law) for x in xs])
+        rows = np.stack([statistic(np.full(61, x), ys, law) for x in xs])
         assert np.array_equal(grid, rows)
         amp = math.exp(law.log_scale + law.log_center)
         assert np.all(grid[0] == -amp)
@@ -206,7 +207,7 @@ class TestStandardizedStatistic:
         law = limit_law(params, Regime.case_ii(1.0))
         amp = math.exp(law.log_scale + law.log_center)
         direct = math.exp(law.log_scale) * (x**s / (x + y) ** r - law.center)
-        got = standardized_statistic(x, y, law)
+        got = statistic(x, y, law)
         # absolute floor: both paths carry ~eps-level noise relative to amp
         assert abs(got - direct) <= 1e-10 * abs(direct) + 1e-12 * amp
 
@@ -216,6 +217,15 @@ class TestKernelMatchesReference:
 
     LAW = limit_law(ModelParams(n=120, m=80, p=0.4, s=2.5, r=1.75), Regime.case_ii(1.5))
 
+    @staticmethod
+    def read(x, y, law):
+        """T on the read-only contract, with r*log(x + y) formed as the kernel forms it."""
+        t = np.add(x, y, dtype=np.float64)
+        t[~(t > 0)] = 1.0
+        r_log_sum = np.log(t) * law.r
+        return standardized_statistic(x, y, law, r_log_sum, out=np.empty(t.shape))
+
+    # the read-only contract reads integer and float counts of any width
     @pytest.mark.parametrize(
         "dtype", [np.int8, np.int32, np.int64, np.float32, np.float64]
     )
@@ -225,7 +235,7 @@ class TestKernelMatchesReference:
         y = gen.integers(0, 8, 500).astype(dtype)
         x[:3], y[:2] = 0, 0  # x = 0 rows, one of them with x + y = 0
         assert_bitwise(
-            standardized_statistic(x, y, self.LAW),
+            self.read(x, y, self.LAW),
             reference_standardized_statistic(x, y, self.LAW),
         )
 
@@ -235,7 +245,7 @@ class TestKernelMatchesReference:
         x = np.arange(1, 121).astype(dtype)
         y = (np.arange(120) % 9).astype(dtype)
         assert_bitwise(
-            standardized_statistic(x, y, self.LAW),
+            self.read(x, y, self.LAW),
             reference_standardized_statistic(x, y, self.LAW),
         )
 
@@ -245,26 +255,13 @@ class TestKernelMatchesReference:
         y = draw_binomial(3_800_000, 0.5, gen, 1000)
         law = limit_law(ModelParams(n=2_000_000_000, m=3_800_000, p=0.5, s=16.0,
                                     r=15.0), Regime.case_iii())
-        assert_bitwise(
-            standardized_statistic(x, y, law), reference_standardized_statistic(x, y, law)
-        )
-
-    @pytest.mark.parametrize(
-        "x, y", [(50, 40), (0, 7), (0, 0), (3.5, 0.0), ([1, 0, 2], [0, 0, 5]),
-                 ([4], 6), (9, [0, 1, 2]), (2**70, 5), ([2**70, 0], [1, 2]),
-                 (True, False)]
-    )
-    def test_lists_and_scalars(self, x, y):
-        assert_bitwise(
-            standardized_statistic(x, y, self.LAW),
-            reference_standardized_statistic(x, y, self.LAW),
-        )
+        assert_bitwise(statistic(x, y, law), reference_standardized_statistic(x, y, law))
 
     def test_nan_in_y_stays_finite(self):
         # x + y is NaN there, and the reference reads it as log(1) = 0
         x = np.array([5.0, 0.0, 7.0, 3.0])
         y = np.array([np.nan, np.nan, 2.0, 0.0])
-        got = standardized_statistic(x, y, self.LAW)
+        got = statistic(x, y, self.LAW)
         assert np.all(np.isfinite(got))
         assert_bitwise(got, reference_standardized_statistic(x, y, self.LAW))
 
@@ -273,8 +270,7 @@ class TestKernelMatchesReference:
         y = np.array([1.0, 1.0, 1.0, np.inf])
         with np.errstate(invalid="ignore"):
             assert_bitwise(
-                standardized_statistic(x, y, self.LAW),
-                reference_standardized_statistic(x, y, self.LAW),
+                statistic(x, y, self.LAW), reference_standardized_statistic(x, y, self.LAW)
             )
 
     @pytest.mark.parametrize(
@@ -283,7 +279,7 @@ class TestKernelMatchesReference:
                  (np.arange(3)[:, None], np.zeros((1, 0), np.int32))]
     )
     def test_empty(self, x, y):
-        got = standardized_statistic(x, y, self.LAW)
+        got = statistic(x, y, self.LAW)
         assert got.size == 0
         assert_bitwise(got, reference_standardized_statistic(x, y, self.LAW))
 
@@ -291,7 +287,7 @@ class TestKernelMatchesReference:
         xs, ys = np.arange(121), np.arange(81)
         for lo, hi in [(0, 40), (40, 121)]:
             assert_bitwise(
-                standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
+                statistic(xs[lo:hi, None], ys[None, :], self.LAW),
                 reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
             )
 
@@ -303,33 +299,45 @@ class TestKernelMatchesReference:
         for lo, hi in [(0, 40), (40, 121)]:  # x = 0 and x + y = 0 in the first
             assert_bitwise(
                 standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
-                                       r_log_sum=window[lo:hi]),
+                                       r_log_sum=window[lo:hi], out=np.empty((hi - lo, 81))),
                 reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
             )
+        assert np.array_equal(xs, np.arange(121)) and np.array_equal(ys, np.arange(81))
 
     @pytest.mark.parametrize("zeros", [False, True])
-    def test_in_place_matches_and_default_only_reads(self, zeros):
+    def test_given_buffers_hold_the_result(self, zeros):
         gen = np.random.default_rng(11)
-        x = gen.integers(1, 120, 500)
-        y = gen.integers(0, 8, 500)
+        x = gen.integers(1, 120, 500).astype(np.float64)
+        y = gen.integers(0, 8, 500).astype(np.float64)
         if zeros:
             x[:3], y[:2] = 0, 0  # x = 0 rows, one of them with x + y = 0
-        x_copy, y_copy = x.copy(), y.copy()
-        want = standardized_statistic(x, y, self.LAW)
-        assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
-        x_float, y_float = x.astype(np.float64), y.astype(np.float64)
-        got = standardized_statistic(x_float, y_float, self.LAW, in_place=True)
-        assert got is y_float
+        want = reference_standardized_statistic(x, y, self.LAW)
+        got = standardized_statistic(x, y, self.LAW)
+        assert got is y
         assert_bitwise(got, want)
 
-    @pytest.mark.parametrize(
-        "x, y, r_log_sum",
-        [(np.ones(3), np.ones(3, np.int64), None), (np.ones(3), np.ones(4), None),
-         ([1.0, 2.0], [1.0, 2.0], None), (np.ones(3), np.ones(3), np.zeros(3))]
-    )
-    def test_in_place_needs_two_float64_arrays_of_one_shape(self, x, y, r_log_sum):
-        with pytest.raises(ParameterError, match="in_place"):
-            standardized_statistic(x, y, self.LAW, r_log_sum, in_place=True)
+    @pytest.mark.parametrize("x, y, out", [
+        (np.ones(3, np.int64), np.ones(3, np.int64), None),
+        (np.ones(3), np.ones(3, np.int64), None),
+        (np.ones(3, np.float32), np.ones(3, np.float32), None),
+        (np.ones(3), np.ones(4), None),
+        (np.ones((3, 1)), np.ones((1, 4)), None),
+        ([1.0, 2.0], [1.0, 2.0], None),
+        (2.0, 3.0, None),
+        (np.float64(2.0), np.float64(3.0), None),
+        (np.ones(3), np.ones(3), np.empty(3)),
+    ], ids=["int", "mixed_dtypes", "float32", "lengths", "broadcast", "list", "scalar",
+            "numpy_scalar", "out"])
+    def test_without_log_sum_needs_two_float64_arrays_of_one_shape(self, x, y, out):
+        with pytest.raises(ParameterError, match="writeable float64 arrays"):
+            standardized_statistic(x, y, self.LAW, out=out)
+
+    def test_without_log_sum_needs_writeable_arrays(self):
+        x, y = np.ones(3), np.ones(3)
+        y.flags.writeable = False
+        with pytest.raises(ParameterError, match="writeable float64 arrays"):
+            standardized_statistic(x, y, self.LAW)
+        assert np.array_equal(x, np.ones(3))
 
     @staticmethod
     def oracle_window(xs, ys, r):
@@ -337,7 +345,7 @@ class TestKernelMatchesReference:
         table = np.log(t, dtype=np.float64) * r
         return np.lib.stride_tricks.sliding_window_view(table, len(ys))
 
-    def test_out_is_returned_with_the_allocating_bits(self):
+    def test_out_is_returned_with_the_bits_of_the_given_buffers(self):
         # as the oracle passes it: the leading rows of a larger buffer
         xs, ys = np.arange(121), np.arange(81)
         window = self.oracle_window(xs, ys, self.LAW.r)
@@ -347,25 +355,25 @@ class TestKernelMatchesReference:
             got = standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
                                          r_log_sum=window[lo:hi], out=out)
             assert got is out
-            assert_bitwise(got, standardized_statistic(
-                xs[lo:hi, None], ys[None, :], self.LAW, r_log_sum=window[lo:hi]))
+            assert_bitwise(got, statistic(xs[lo:hi, None], ys[None, :], self.LAW))
 
-    @pytest.mark.parametrize("out, r_log_sum, in_place", [
-        (np.empty((4, 6)), True, False),  # wrong shape
-        (np.empty((3, 5)), True, False),
-        (np.empty((3, 6), np.float32), True, False),  # wrong dtype
-        ([[0.0] * 6] * 3, True, False),  # not an array
-        (np.empty((3, 6)), False, False),  # no r_log_sum
-        (np.empty((3, 6)), False, True),  # with in_place
-    ], ids=["rows", "columns", "float32", "list", "no_r_log_sum", "in_place"])
-    def test_out_needs_r_log_sum_and_a_float64_array_of_the_shape(
-        self, out, r_log_sum, in_place
-    ):
-        xs, ys = np.arange(1.0, 4.0), np.arange(6.0)
-        x, y = (np.ascontiguousarray(a) for a in np.broadcast_arrays(xs[:, None], ys))
-        window = self.oracle_window(np.arange(4), ys, self.LAW.r)[1:] if r_log_sum else None
-        with pytest.raises(ParameterError, match="out needs"):
-            standardized_statistic(x, y, self.LAW, window, in_place=in_place, out=out)
+    @pytest.mark.parametrize("out, x, y", [
+        (np.empty((4, 6)), None, None),  # wrong shape
+        (np.empty((3, 5)), None, None),
+        (np.empty((3, 6), np.float32), None, None),  # wrong dtype
+        ([[0.0] * 6] * 3, None, None),  # not an array
+        (None, None, None),  # no out
+        (np.empty((3, 6)), [1.0, 2.0, 3.0], None),  # counts not arrays
+        (np.empty((3, 6)), None, np.ones((1, 5))),  # counts that do not broadcast
+        (np.empty((3, 6)), np.ones((3, 1), dtype=object), None),  # not numeric
+    ], ids=["rows", "columns", "float32", "list", "no_out", "list_counts",
+            "no_broadcast", "object_counts"])
+    def test_log_sum_needs_out_a_float64_array_of_the_shape(self, out, x, y):
+        xs, ys = np.arange(1.0, 4.0)[:, None], np.arange(6.0)[None, :]
+        x, y = xs if x is None else x, ys if y is None else y
+        window = self.oracle_window(np.arange(4), np.arange(6), self.LAW.r)[1:]
+        with pytest.raises(ParameterError, match="r_log_sum, integer or float arrays"):
+            standardized_statistic(x, y, self.LAW, window, out=out)
 
     @pytest.mark.parametrize(
         "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
@@ -375,7 +383,7 @@ class TestKernelMatchesReference:
         with pytest.raises(ParameterError):
             reference_standardized_statistic(x, y, self.LAW)
         with pytest.raises(ParameterError):
-            standardized_statistic(x, y, self.LAW)
+            statistic(x, y, self.LAW)
 
 
 class TestDrawCounts:
@@ -384,8 +392,9 @@ class TestDrawCounts:
         x, y = draw_counts(ModelParams(n=n, m=m, p=0.3, s=1.0, r=1.0), 5000, seed)
         want_x = draw_binomial(n, 0.3, make_generator(substream(seed, 0)), 5000)
         want_y = draw_binomial(m, 0.3, make_generator(substream(seed, 1)), 5000)
-        assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
-        assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+        assert want_x.dtype == want_y.dtype == np.int64
+        assert x.dtype == y.dtype == np.float64
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_rejects_nonpositive_count(self, count):
@@ -414,7 +423,7 @@ class TestDrawCounts:
     def test_largest_trial_count_is_drawn(self):
         params = ModelParams(n=MAX_TRIALS, m=MAX_TRIALS, p=0.5, s=1.0, r=1.0)
         x, y = draw_counts(params, 3, SeedSpec(0))
-        assert x.dtype == np.int64 and ((x > 0) & (y > 0)).all()
+        assert x.dtype == np.float64 and ((x > 0) & (y > 0)).all()
 
 
 def _use(gen, kind):
