@@ -197,7 +197,7 @@ def _spec_from_file(path: str) -> SweepSpec:
         lo, hi = (_spec_number(grid[key], f"{where} grid {key!r}") for key in ("lo", "hi"))
         steps = _integer(grid["steps"], f"{where} grid 'steps'", 1, SWEEP_RUN_LIMIT + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # ModelParams rejects inf, NaN
-            grid = np.linspace(lo, hi, steps).tolist()
+            grid = np.linspace(float(lo), float(hi), steps).tolist()
     elif not isinstance(grid, list):
         raise ParameterError(f"{where} grid must be a JSON list or object")
     return SweepSpec(

@@ -181,7 +181,8 @@ def run_single(
     direction: Direction | None = None,
     seed: SeedSpec = SeedSpec(0),
 ) -> SingleRunResult:
-    """Simulate one batch, draw the matched Normal reference, compare.
+    """One run: ``limit_law``, ``draw_counts``, ``simulate_batch``,
+    ``reference_normal_batch``, then ``compare_batches`` of the two sorted samples.
 
     ``samples``, ``bins``, the law and ``direction`` are checked before any draw.
     """
@@ -192,9 +193,8 @@ def run_single(
     default = Direction.REVERSED if collapse else Direction.FORWARD
     direction = _instance(default if direction is None else direction,
                           Direction, "direction")
-    sim = simulate_batch(params, law, samples, seed)  # values come sorted
+    sim = simulate_batch(*draw_counts(params, samples, seed), law)
     ref = reference_normal_batch(law.variance, samples, seed)
-    ref.sort()  # the run's own array; compare_batches takes both samples sorted
     report = compare_batches(sim.values, ref, direction, bins)
     elapsed = (time.perf_counter() - start) * 1e3
     return SingleRunResult(report=report, simulated=sim, wall_time_ms=elapsed)

@@ -20,11 +20,11 @@ command ends; a library caller's thread keeps it until the thread ends or
 until a ``thread_generator_scope`` that caller opened closes. Streams never
 depend on this, because every draw re-keys the generator first.
 
-A batch of N draws holds two arrays of length N at its peak, the counts as
-drawn: ``draw_counts`` turns each to float64 in its own buffer, and
-``simulate_batch`` gives both to ``standardized_statistic`` as its working
-buffers and sorts the statistic where it lies. The x = 0 conventions are
-applied by masks only when some count is zero.
+``draw_counts`` turns each int64 draw array to float64 in its own buffer, and
+``simulate_batch`` gives up both to ``standardized_statistic`` and sorts the
+statistic where it lies: a batch of N draws holds two arrays of length N at
+its peak. ``reference_normal_batch`` sorts its own draws, so both batches come
+sorted. The x = 0 conventions are applied by masks only when some count is zero.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
     """``count`` independent (X, Y) draws as float64: X from substream 0, Y from 1.
 
     Each int64 draw array is turned to float64 in its own buffer, ready to be
-    given up to ``standardized_statistic``. Trial counts above ``MAX_TRIALS``
+    given up to ``simulate_batch``. Trial counts above ``MAX_TRIALS``
     are a ParameterError (``check_trials``).
     """
     count = _integer(count, "count", 1)
@@ -172,10 +172,9 @@ def draw_counts(params: ModelParams, count: int, seed: SeedSpec):
 class SampleBatch:
     """Read-only simulated draws plus their degeneracy counts; no model or regime.
 
-    ``simulate_batch`` gives its ``values`` in ascending order;
-    ``zero_numerator_count`` counts draws with x = 0 and
-    ``zero_denominator_count`` those with x + y = 0; the batch size is
-    ``len(values)``.
+    ``simulate_batch`` gives its ``values`` in ascending order; ``zero_numerator_count``
+    counts draws with x = 0 and ``zero_denominator_count`` those with x + y = 0; the
+    batch size is ``len(values)``.
     """
 
     values: np.ndarray
@@ -194,7 +193,8 @@ def _meets_contract(x, y, r_log_sum, out) -> bool:
     arrays = isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
     if r_log_sum is None:
         return (arrays and out is None and x.dtype == y.dtype == np.float64
-                and x.shape == y.shape and x.flags.writeable and y.flags.writeable)
+                and x.shape == y.shape and x.flags.writeable and y.flags.writeable
+                and not np.shares_memory(x, y))  # exact: interleaved columns pass
     with suppress(ValueError):  # x and y do not broadcast
         return (arrays and x.dtype.kind in "biuf" and y.dtype.kind in "biuf"
                 and isinstance(out, np.ndarray) and out.dtype == np.float64
@@ -212,21 +212,21 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     x + y = 0 draw follows the same convention. The x = 0 and x + y = 0
     masks apply only when some count is not positive.
 
-    Without ``r_log_sum``, x and y are writeable float64 arrays of one shape
-    that the caller gives up: r*log(x + y) is formed in y's buffer, s*log(x)
-    in x's, and T is returned in y's. With it, x and y are integer or float
-    arrays, ``r_log_sum`` holds r*log(x + y), with log(0) read as log(1), in
-    their broadcast shape, and ``out`` is a float64 array of that shape: x,
-    y and ``r_log_sum`` are only read, and T is formed in ``out`` and
-    returned, bit for bit as without ``r_log_sum``. The exact oracle reads
-    it from one table this way. Any other input is a ParameterError.
+    Without ``r_log_sum``, x and y are writeable float64 arrays of one shape,
+    disjoint in memory, that the caller gives up: r*log(x + y) is formed in
+    y's buffer, s*log(x) in x's, and T is returned in y's. With it, x and y
+    are integer or float arrays, ``r_log_sum`` holds r*log(x + y) (log(0)
+    read as log(1)) in their broadcast shape, and ``out`` is a float64 array
+    of that shape: x, y and ``r_log_sum`` are only read, and T is formed in
+    ``out`` and returned, bit for bit as without ``r_log_sum``. The oracle
+    reads it from one table this way. Any other input is a ParameterError.
     """
     amp = math.exp(law.log_scale + law.log_center)
     if not _meets_contract(x, y, r_log_sum, out):
         raise ParameterError(
-            "standardized_statistic takes writeable float64 arrays x and y of one "
-            "shape, or r_log_sum, integer or float arrays x and y and out, a float64 "
-            "array of their broadcast shape"
+            "standardized_statistic takes writeable float64 arrays x and y of one shape "
+            "that share no memory, or r_log_sum, integer or float arrays x and y and "
+            "out, a float64 array of their broadcast shape"
         )
     given_up = r_log_sum is None
     # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
@@ -257,20 +257,20 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     return out
 
 
-def simulate_batch(
-    params: ModelParams, law: LimitLaw, count: int, seed: SeedSpec
-) -> SampleBatch:
-    """``count`` independent draws of the ratio statistic standardized by ``law``.
+def simulate_batch(x, y, law: LimitLaw) -> SampleBatch:
+    """The draws (x, y) standardized by ``law``, as a batch in ascending order.
 
-    Deterministic in (params, law, count, seed); ``law`` is the caller's
-    ``limit_law(params, regime)``. X and Y come from ``draw_counts``. The
-    values are returned in ascending order, not in draw order: the batch
-    owns its fresh float64 counts, so the statistic is formed in those two
-    buffers and sorted where it lies.
+    x and y are the float64 counts ``draw_counts`` returns, or any pair that
+    meets ``standardized_statistic``'s given-up contract and is one
+    nonempty row; anything else is a ParameterError, raised before any read.
+    ``law`` is the caller's ``limit_law(params, regime)``. The statistic is
+    formed in the two buffers and sorted where it lies; makes no draw.
     """
-    x, y = draw_counts(params, count, seed)
+    if not (_meets_contract(x, y, None, None) and x.ndim == 1 and x.size):
+        raise ParameterError("simulate_batch takes nonempty one-dimensional writeable "
+                             "float64 arrays x and y of one shape that share no memory")
     zero_num = zero_den = 0
-    if x.min() == 0:
+    if not x.min() > 0:  # a NaN minimum can hide an x = 0
         x_zero = x == 0
         zero_num = int(np.count_nonzero(x_zero))
         zero_den = int(np.count_nonzero(y[x_zero] == 0))
@@ -282,10 +282,10 @@ def simulate_batch(
 
 
 def reference_normal_batch(variance: float, count: int, seed: SeedSpec) -> np.ndarray:
-    """``count`` iid N(0, variance) draws from substream 2 of ``seed``; 0s at variance 0."""
+    """``count`` N(0, variance) draws from substream 2 of ``seed``, in ascending order."""
     count = _integer(count, "count", 1)
     if not (variance >= 0 and math.isfinite(variance)):
         raise ParameterError(f"variance must be finite and >= 0, got {variance!r}")
-    if variance == 0.0:
-        return np.zeros(count)
-    return _keyed_generator(seed, 2).normal(0.0, math.sqrt(variance), size=count)
+    ref = _keyed_generator(seed, 2).normal(0.0, math.sqrt(variance), size=count)
+    ref.sort()
+    return ref

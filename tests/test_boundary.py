@@ -148,7 +148,7 @@ class Drew(Exception):
 @settings(max_examples=300, deadline=None)
 @given(samples=NUMBERS, bins=NUMBERS, direction=DIRECTIONS)
 def test_run_single_checks_settings_before_any_draw(samples, bins, direction):
-    def first_draw(params, law, count, seed):
+    def first_draw(params, count, seed):
         assert type(count) is int and count == samples
         raise Drew
 
@@ -158,7 +158,7 @@ def test_run_single_checks_settings_before_any_draw(samples, bins, direction):
         return run_single(PARAMS, Regime.case_ii(None), samples=samples, bins=bins,
                           direction=direction)
 
-    with mock.patch.object(runner, "simulate_batch", first_draw):
+    with mock.patch.object(runner, "draw_counts", first_draw):
         if valid:
             with pytest.raises(Drew):
                 build_or_raise(run, True)

@@ -153,7 +153,7 @@ class TestSimulate:
     ], ids=["samples", "bins", "samples_beyond_float"])
     def test_over_memory_budget_exit_2_before_any_draw(self, capsys, monkeypatch, size):
         drawn = []
-        monkeypatch.setattr(runner, "simulate_batch", lambda *a, **kw: drawn.append(a))
+        monkeypatch.setattr(runner, "draw_counts", lambda *a, **kw: drawn.append(a))
         argv = ["simulate", "--n", "100", "--m", "100", "--p", "0.5", "--s", "1",
                 "--r", "1", "--regime", "case2", *size]
         assert_one_line_error(*run_cli(argv, capsys), "over the run memory budget")
@@ -722,12 +722,16 @@ def assert_finite_output_or_one_error_line(argv):
 
 @st.composite
 def sweep_spec(draw):
-    """A spec file's content: edge values, at most 3 points and 200 samples."""
+    """A spec file's content: edge values, at most 3 points and 200 samples.
+
+    A grid given by its ends may also take integer ends up to 2**70 in size.
+    """
     reals = st.sampled_from(EDGE_REALS)
     probabilities = st.sampled_from(EDGE_PROBABILITIES)
     sizes = st.one_of(st.integers(1, 100), st.integers(1, 2**63 + 1))
     vary = draw(st.sampled_from(("p", "s", "r", "m", "n")))
     values = {"p": probabilities, "m": sizes, "n": sizes}.get(vary, reals)
+    ends = st.one_of(values, st.integers(-2**70, 2**70))  # beyond int64 and uint64 too
     steps = st.one_of(st.integers(1, 3), st.just(10**11))
     regime = {"kind": draw(st.sampled_from(REGIMES))}
     if regime["kind"] == "case2" and draw(st.booleans()):
@@ -739,7 +743,7 @@ def sweep_spec(draw):
         "vary": vary,
         "grid": draw(st.one_of(
             st.lists(values, min_size=1, max_size=3),
-            st.fixed_dictionaries({"lo": values, "hi": values, "steps": steps}),
+            st.fixed_dictionaries({"lo": ends, "hi": ends, "steps": steps}),
         )),
         "samples": draw(st.integers(1, 200)),
         "replicates_per_point": draw(st.one_of(st.just(1), st.just(10**9))),
@@ -780,6 +784,12 @@ HUGE = 10**400  # a JSON integer no float can hold
 @example(spec={**SPEC, "grid": {"lo": HUGE, "hi": 2, "steps": 2}}, threads=1)
 # hi - lo overflows inside np.linspace
 @example(spec={**SPEC, "grid": {"lo": 1e308, "hi": -1e308, "steps": 3}}, threads=1)
+# integer ends beyond int64 and uint64, which np.linspace used to take as objects
+@example(spec={"base": {"n": 1000, "m": 1000, "p": 0.5, "s": 2.0, "r": 1.0},
+               "regime": {"kind": "case1"}, "vary": "r",
+               "grid": {"lo": 0.5, "hi": 2**64, "steps": 1}, "samples": 54}, threads=1)
+@example(spec={**SPEC, "vary": "s", "grid": {"lo": -2**64, "hi": 2, "steps": 2}},
+         threads=1)
 def test_any_sweep_spec_gives_finite_output_or_one_error_line(spec, threads,
                                                                tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "property_spec.json"

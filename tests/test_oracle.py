@@ -15,6 +15,7 @@ from binratio import (
     ModelParams,
     ParameterError,
     Regime,
+    draw_counts,
     exact_distribution,
     limit_law,
     simulate_batch,
@@ -174,7 +175,8 @@ class TestExactDistribution:
         params = ModelParams(n=50, m=80, p=0.3, s=2.0, r=1.0)
         regime = Regime.case_ii(1.6)
         dist = exact_distribution(params, regime)
-        batch = simulate_batch(params, limit_law(params, regime), 10**6, SeedSpec(77))
+        law = limit_law(params, regime)
+        batch = simulate_batch(*draw_counts(params, 10**6, SeedSpec(77)), law)
         stderr_mean = batch.values.std() / math.sqrt(len(batch.values))
         assert abs(batch.values.mean() - dist.mean) < 5 * stderr_mean
         # variance stderr ~ var * sqrt(2/N) for near-Normal samples

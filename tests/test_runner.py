@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -83,11 +86,38 @@ class TestRunSingle:
     ], ids=["samples", "bins", "samples_float", "bins_bool", "direction_str"])
     def test_settings_checked_before_any_draw(self, monkeypatch, setting, message):
         def no_draw(*args, **kw):
-            raise AssertionError("simulate_batch called")
+            raise AssertionError("draw_counts called")
 
-        monkeypatch.setattr(runner, "simulate_batch", no_draw)
+        monkeypatch.setattr(runner, "draw_counts", no_draw)
         with pytest.raises(ParameterError, match=message):
             run_single(BALANCED_PARAMS, Regime.case_ii(None), **setting)
+
+    # calls one run makes through the names its modules bind at module level
+    STAGE_CALLS = {"limit_law": 1, "draw_counts": 1, "draw_binomial": 2, "simulate_batch": 1,
+                   "standardized_statistic": 1, "reference_normal_batch": 1,
+                   "compare_batches": 1, "common_bins": 1, "histogram": 2,
+                   "kl_divergence": 1}
+
+    def test_stages_are_called_through_module_level_names(self, monkeypatch):
+        # a tracer that wraps each public function where a module binds it
+        # times the stages; a stage reached another way reads as 0 calls
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for layer in ("cli", "runner", "model", "sampling", "divergence", "oracle",
+                      "calculus"):
+            module = importlib.import_module(f"binratio.{layer}")
+            for name, obj in list(vars(module).items()):
+                if (inspect.isfunction(obj) and not name.startswith("_")
+                        and obj.__module__.startswith("binratio.")):
+                    monkeypatch.setattr(module, name, counted(obj))
+        run_single(BALANCED_PARAMS, Regime.case_ii(None), samples=2000)
+        assert {name: calls[name] for name in self.STAGE_CALLS} == self.STAGE_CALLS
 
 
 def assert_same_run(a, b):

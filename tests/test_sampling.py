@@ -212,6 +212,40 @@ class TestStandardizedStatistic:
         assert abs(got - direct) <= 1e-10 * abs(direct) + 1e-12 * amp
 
 
+# the law under which one array passed as both x and y used to give [-2.4, -2.4]
+SMALL_LAW = limit_law(ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0), Regime.case_ii(None))
+
+
+def _read_only_pair():
+    x, y = np.ones(3), np.ones(3)
+    y.flags.writeable = False
+    return x, y
+
+
+def _one_array_pair():
+    a = np.array([50.0, 60.0])
+    return a, a
+
+
+def _overlapping_pair():
+    buffer = np.arange(1.0, 5.0)
+    return buffer[:3], buffer[1:]
+
+
+# pairs simulate_batch refuses, each built afresh
+BAD_PAIRS = {
+    "empty": lambda: (np.empty(0), np.empty(0)),
+    "int64": lambda: (np.ones(3, np.int64), np.ones(3, np.int64)),
+    "float32": lambda: (np.ones(3, np.float32), np.ones(3, np.float32)),
+    "lengths": lambda: (np.ones(3), np.ones(4)),
+    "two_dim": lambda: (np.ones((2, 3)), np.ones((2, 3))),
+    "lists": lambda: ([1.0, 2.0], [1.0, 2.0]),
+    "read_only": _read_only_pair,
+    "one_array": _one_array_pair,
+    "overlapping": _overlapping_pair,
+}
+
+
 class TestKernelMatchesReference:
     """standardized_statistic equals the float-copy formulation bit for bit."""
 
@@ -326,8 +360,10 @@ class TestKernelMatchesReference:
         (2.0, 3.0, None),
         (np.float64(2.0), np.float64(3.0), None),
         (np.ones(3), np.ones(3), np.empty(3)),
+        (*_one_array_pair(), None),
+        (*_overlapping_pair(), None),
     ], ids=["int", "mixed_dtypes", "float32", "lengths", "broadcast", "list", "scalar",
-            "numpy_scalar", "out"])
+            "numpy_scalar", "out", "one_array", "overlapping"])
     def test_without_log_sum_needs_two_float64_arrays_of_one_shape(self, x, y, out):
         with pytest.raises(ParameterError, match="writeable float64 arrays"):
             standardized_statistic(x, y, self.LAW, out=out)
@@ -338,6 +374,13 @@ class TestKernelMatchesReference:
         with pytest.raises(ParameterError, match="writeable float64 arrays"):
             standardized_statistic(x, y, self.LAW)
         assert np.array_equal(x, np.ones(3))
+
+    def test_without_log_sum_takes_interleaved_columns_as_copies(self):
+        b = np.array([[50.0, 60.0], [55.0, 40.0], [0.0, 3.0], [0.0, 0.0]])
+        want = statistic(b[:, 0], b[:, 1], SMALL_LAW)
+        got = standardized_statistic(b[:, 0], b[:, 1], SMALL_LAW)
+        assert_bitwise(got, want)
+        assert np.shares_memory(got, b)
 
     @staticmethod
     def oracle_window(xs, ys, r):
@@ -501,21 +544,21 @@ class TestKeyedGenerator:
         _use(_keyed_generator(SeedSpec(8), 0), prior)
         ref = reference_normal_batch(2.5, 3000, self.SEED)
         want = make_generator(substream(self.SEED, 2)).normal(0.0, math.sqrt(2.5), size=3000)
-        assert np.array_equal(ref.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(ref.view(np.uint64), np.sort(want).view(np.uint64))
 
 
 class TestSimulateBatch:
     def test_deterministic(self):
         params = ModelParams(n=1000, m=1000, p=0.5, s=2.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
-        a = simulate_batch(params, law, 500, SeedSpec(8))
-        b = simulate_batch(params, law, 500, SeedSpec(8))
+        a = simulate_batch(*draw_counts(params, 500, SeedSpec(8)), law)
+        b = simulate_batch(*draw_counts(params, 500, SeedSpec(8)), law)
         assert np.array_equal(a.values, b.values)
 
     def test_no_zero_numerators_at_large_n(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
         law = limit_law(params, Regime.case_ii(1.0))
-        batch = simulate_batch(params, law, 10**5, SeedSpec(4))
+        batch = simulate_batch(*draw_counts(params, 10**5, SeedSpec(4)), law)
         assert batch.zero_numerator_count == 0
         assert batch.zero_denominator_count == 0
 
@@ -523,7 +566,7 @@ class TestSimulateBatch:
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
         regime = Regime.case_ii(1.0)
         law = limit_law(params, regime)
-        batch = simulate_batch(params, law, 10**5, SeedSpec(12))
+        batch = simulate_batch(*draw_counts(params, 10**5, SeedSpec(12)), law)
         assert batch.values.var() == pytest.approx(law.variance, rel=0.10)
 
     def test_variance_error_shrinks_with_n(self):
@@ -534,7 +577,7 @@ class TestSimulateBatch:
         for n in [10**2, 10**4, 10**6]:
             params = ModelParams(n=n, m=n, p=0.5, s=15.0, r=15.0)
             law = limit_law(params, regime)
-            batch = simulate_batch(params, law, 10**5, SeedSpec(31))
+            batch = simulate_batch(*draw_counts(params, 10**5, SeedSpec(31)), law)
             errs.append(abs(batch.values.var() - law.variance) / law.variance)
         assert errs[0] > errs[1] > errs[2]
 
@@ -542,7 +585,7 @@ class TestSimulateBatch:
         params = ModelParams(n=3, m=2, p=0.3, s=1.0, r=1.0)
         seed = SeedSpec(6)
         law = limit_law(params, Regime.case_ii(1.0))
-        batch = simulate_batch(params, law, 2000, seed)
+        batch = simulate_batch(*draw_counts(params, 2000, seed), law)
         x = draw_binomial(3, 0.3, make_generator(substream(seed, 0)), 2000)
         y = draw_binomial(2, 0.3, make_generator(substream(seed, 1)), 2000)
         assert batch.zero_numerator_count == np.count_nonzero(x == 0) > 0
@@ -551,7 +594,7 @@ class TestSimulateBatch:
     def test_values_immutable(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
         law = limit_law(params, Regime.case_ii(1.0))
-        batch = simulate_batch(params, law, 10, SeedSpec(0))
+        batch = simulate_batch(*draw_counts(params, 10, SeedSpec(0)), law)
         with pytest.raises(ValueError):
             batch.values[0] = 0.0
 
@@ -560,16 +603,46 @@ class TestSimulateBatch:
         params = ModelParams(n=n, m=2 * n, p=0.3, s=2.0, r=1.5)
         law = limit_law(params, Regime.case_ii(None))
         seed = SeedSpec(21)
-        batch = simulate_batch(params, law, 3000, seed)
+        batch = simulate_batch(*draw_counts(params, 3000, seed), law)
         x, y = draw_counts(params, 3000, seed)
         assert_bitwise(batch.values, np.sort(standardized_statistic(x, y, law)))
         assert not batch.values.flags.writeable
+
+    def test_takes_caller_counts_and_gives_up_their_buffers(self):
+        x, y = np.array([3.0, 0.0, 5.0, 0.0]), np.array([1.0, 0.0, 2.0, 4.0])
+        want = np.sort(statistic(x, y, SMALL_LAW))
+        batch = simulate_batch(x, y, SMALL_LAW)
+        assert batch.values is y  # formed and sorted in y's buffer
+        assert_bitwise(batch.values, want)
+        assert (batch.zero_numerator_count, batch.zero_denominator_count) == (2, 1)
+
+    def test_counts_zeros_beside_nan(self):
+        # np.min of [nan, 0, 3] is nan, which must not hide the x = 0 draw
+        x, y = np.array([np.nan, 0.0, 3.0]), np.array([1.0, 0.0, 1.0])
+        batch = simulate_batch(x, y, SMALL_LAW)
+        assert (batch.zero_numerator_count, batch.zero_denominator_count) == (1, 1)
+
+    def test_interleaved_columns_equal_copies(self):
+        # b[:, 0] and b[:, 1] share a buffer but no element
+        b = np.array([[50.0, 60.0], [55.0, 40.0], [0.0, 3.0]])
+        want = np.sort(statistic(b[:, 0], b[:, 1], SMALL_LAW))
+        assert_bitwise(simulate_batch(b[:, 0], b[:, 1], SMALL_LAW).values, want)
+
+    @pytest.mark.parametrize("pair", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+    def test_input_errors_are_parameter_errors(self, pair):
+        x, y = pair()
+        before = [np.array(a) for a in (x, y)]
+        with pytest.raises(ParameterError, match="simulate_batch takes nonempty"):
+            simulate_batch(x, y, SMALL_LAW)
+        for got, want in zip((x, y), before):  # refused before any write
+            assert np.array_equal(got, want)
 
 
 class TestReferenceNormalBatch:
     def test_zero_variance_gives_zeros(self):
         ref = reference_normal_batch(0.0, 10, SeedSpec(1))
         assert ref.dtype == np.float64 and np.array_equal(ref, np.zeros(10))
+        assert np.array_equal(ref.view(np.uint64), np.zeros(10).view(np.uint64))  # no -0.0
 
     def test_unit_variance_concentration(self):
         ref = reference_normal_batch(1.0, 10**5, SeedSpec(2))
