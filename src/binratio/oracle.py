@@ -6,7 +6,7 @@ mean and variance of the ratio statistic, optionally standardized by a limit
 law. One pass visits blocks of whole x-strata of about 64k outcomes each, in
 three reused buffers, evaluating the pmf and the statistic once per outcome;
 each stratum's weight, first moment and centered second moment are combined
-in stratum order with fsum. A block writes its statistic, probability and
+with fsum, largest term first. A block writes its statistic, probability and
 live mask into the leading rows of three buffers allocated once per
 enumeration: about 1.1 MB at (1600, 2400), which stays in a 4 MiB L2 cache.
 Arrays allocated afresh in every block of that size cost page faults, and
@@ -20,10 +20,13 @@ domain, so the pmf is bit for bit the one gammaln gives without importing scipy.
 
 The statistic needs r*log(x + y) at every outcome. Row x of it is the
 slice [x, x + m] of one table of r*log(t), t = 0 .. n + m, so the table is
-built once per enumeration and seen through a sliding window. A block hands
-its rows of the window to ``standardized_statistic`` (or, for R, subtracts
-them from s*log(x)), so it takes one subtraction per outcome and no log,
-and the statistic is bit for bit the one formed from the counts.
+built once per enumeration and seen through a sliding window. A block copies
+its rows of the window into its statistic buffer, whose rows are contiguous
+(numpy's subtract reads the overlapping window rows more slowly), and hands
+that copy to ``standardized_statistic`` as both r*log(x + y) and the output
+(or, for R, subtracts it from s*log(x) where it lies), so it takes one copy
+and one subtraction per outcome and no log, and the statistic is bit for bit
+the one formed from the counts.
 
 Underflow rule: in every block, exp runs only on the outcomes whose
 log-probability is not below a cut-off, and the others weigh exactly +0.0.
@@ -42,7 +45,14 @@ equality with exp everywhere is checked at fixed inputs. The statistic and
 the sums span whole rows, so the sums group their terms as before, and a
 statistic (or its square) that is not finite at an outcome of probability
 +0.0 still makes the moments NaN. The three fsum calls see only the nonzero
-terms, which leaves their correctly rounded results as they are.
+terms, which leaves their correctly rounded results as they are. They take
+the terms largest first: in stratum order the terms climb from about 2**-1016
+to 2**-5 and fall back, and each call takes about 1 ms at (1600, 2400)
+against 0.1 ms largest first. A correctly rounded sum does not depend on the
+order of its terms; only an intermediate overflow does, so terms whose
+magnitudes could sum to 2**1022 or more, or that are not all finite, are
+summed in stratum order, and every result and exception is fsum's in stratum
+order.
 Moments that are not finite (a statistic that overflows a float) raise
 ParameterError.
 """
@@ -77,6 +87,8 @@ EXP_ZERO_BELOW = -746.0
 # exp(x) is subnormal (or +0.0) for every x below ln(2**-1022); only the
 # moments-only path skips exp there, since no probability of it is printed.
 EXP_SUBNORMAL_BELOW = math.log(2.0**-1022)
+# terms whose magnitudes sum below this cannot overflow fsum in any order
+_REORDER_BELOW = 2.0**1022
 # Cephes lgam's Stirling series: log(sqrt(2 pi)) and the coefficients of its
 # five-term 1/x**2 polynomial (Moshier 1989)
 _LS2PI = 0.91893853320467274178
@@ -141,6 +153,23 @@ def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     return lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
+def _fsum_nonzero(terms: np.ndarray) -> float:
+    """math.fsum of the nonzero terms taken largest first: fsum's bits in array order.
+
+    Exact zeros leave a correctly rounded sum as it is. While the count times
+    the largest magnitude is below _REORDER_BELOW, no order of the terms can
+    overflow fsum's partials, each at most the sum of the magnitudes times
+    1 + 1e-14. Otherwise (inf and NaN included) the terms are summed in array
+    order, so an OverflowError or ValueError, and a NaN or inf result, are the
+    ones fsum gives in that order.
+    """
+    nonzero = terms[terms != 0]
+    magnitude = np.abs(nonzero)
+    if not float(magnitude.max(initial=0.0)) * nonzero.size < _REORDER_BELOW:
+        return math.fsum(nonzero.tolist())
+    return math.fsum(nonzero[np.argsort(-magnitude, kind="stable")].tolist())
+
+
 def _scaled_log_sums(n: int, m: int, r: float) -> np.ndarray:
     """r*log(x + y) at rows x = 0 .. n and columns y = 0 .. m, log(0) read as log(1).
 
@@ -178,7 +207,7 @@ def _enumerate_moments(
 
     # One pass over blocks of whole x-strata, each reduced to its weight, first
     # moment and second moment about its own mean; the strata are then
-    # combined in stratum order with fsum (Chan, Golub & LeVeque 1983).
+    # combined with fsum, largest term first (Chan, Golub & LeVeque 1983).
     keep = outcomes <= SUPPORT_LIMIT
     cut = EXP_ZERO_BELOW if keep else EXP_SUBNORMAL_BELOW
     sup_v = np.empty(outcomes) if keep else None
@@ -197,12 +226,14 @@ def _enumerate_moments(
             hi = min(lo + rows, n + 1)
             block = slice(lo * (m + 1), hi * (m + 1))
             val, prob, live = stat_buf[: hi - lo], prob_buf[: hi - lo], live_buf[: hi - lo]
+            # contiguous rows: subtract reads them faster than the overlapping window
+            np.copyto(val, r_log_t[lo:hi])
             if law is None:
-                np.subtract(s_log_x[lo:hi, None], r_log_t[lo:hi], out=val)
+                np.subtract(s_log_x[lo:hi, None], val, out=val)
                 np.exp(val, out=val)
             else:
                 standardized_statistic(
-                    xs[lo:hi, None], ys[None, :], law, r_log_sum=r_log_t[lo:hi], out=val
+                    xs[lo:hi, None], ys[None, :], law, r_log_sum=val, out=val
                 )
             if keep:
                 sup_v[block] = val.ravel()
@@ -223,11 +254,9 @@ def _enumerate_moments(
             val -= mu[lo:hi, None]
             np.square(val, out=val)
             np.einsum("ij,ij->i", prob, val, out=m2[lo:hi])
-        # exact zeros leave a correctly rounded sum as it is; NaN and inf stay
-        total = math.fsum(w[w != 0])
-        mean = math.fsum(pv[pv != 0])
-        terms = m2 + w * (mu - mean) ** 2
-        variance = math.fsum(terms[terms != 0])
+        total = _fsum_nonzero(w)
+        mean = _fsum_nonzero(pv)
+        variance = _fsum_nonzero(m2 + w * (mu - mean) ** 2)
     if not all(map(math.isfinite, (mean, variance, total))):
         raise ParameterError(
             f"exact moments are not finite at n={n}, m={m}, p={p!r}, s={s!r}, "

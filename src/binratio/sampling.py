@@ -217,9 +217,10 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     y's buffer, s*log(x) in x's, and T is returned in y's. With it, x and y
     are integer or float arrays, ``r_log_sum`` holds r*log(x + y) (log(0)
     read as log(1)) in their broadcast shape, and ``out`` is a float64 array
-    of that shape: x, y and ``r_log_sum`` are only read, and T is formed in
-    ``out`` and returned, bit for bit as without ``r_log_sum``. The oracle
-    reads it from one table this way. Any other input is a ParameterError.
+    of that shape: x and y are only read, ``r_log_sum`` is only read unless it
+    is ``out`` itself, and T is formed in ``out`` and returned, bit for bit as
+    without ``r_log_sum``. The oracle copies it from one table into ``out``
+    and passes that buffer as both. Any other input is a ParameterError.
     """
     amp = math.exp(law.log_scale + law.log_center)
     if not _meets_contract(x, y, r_log_sum, out):

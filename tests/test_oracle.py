@@ -1,11 +1,16 @@
 import json
 import math
+import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from read_only import statistic
 from scipy.special import gammaln
 
@@ -28,6 +33,7 @@ from binratio.oracle import (
     SUPPORT_LIMIT,
     ExactDistribution,
     _enumerate_moments,
+    _fsum_nonzero,
     _log_binom_pmf,
     _log_factorials,
     _log_gamma_stirling,
@@ -484,3 +490,50 @@ class TestSkippedExp:
             assert got.probabilities.tobytes() == want.probabilities.tobytes()
         else:
             assert got.values is None and want.values is None
+
+
+M = sys.float_info.max
+# the whole exponent range with zeros of both signs, subnormals, NaN and
+# +-inf; values near float range, whose order decides an intermediate
+# overflow; and values whose sums fall on rounding ties
+TERMS = st.one_of(
+    st.floats(width=64),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.nan, -math.nan,
+                     math.inf, -math.inf, M, -M, 0.6 * M, -0.5 * M, 0.3 * M]),
+    st.sampled_from([1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106, 1.0 + 2.0**-52, 1e16]),
+)
+
+
+def fsum_outcome(call):
+    """The bits of call's float result, or the type and message of its exception."""
+    try:
+        return struct.pack("<d", call())
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFsumNonzero:
+    """Largest first, the sums give fsum's bits and exceptions in stratum order."""
+
+    def test_order_sensitive_overflow_sums_in_array_order(self):
+        terms = np.array([0.6 * M, -0.5 * M, 0.6 * M])
+        with pytest.raises(OverflowError):  # largest first: 0.6M + 0.6M
+            math.fsum([0.6 * M, 0.6 * M, -0.5 * M])
+        want = math.fsum(terms.tolist())
+        assert want == pytest.approx(0.7 * M)
+        assert fsum_outcome(lambda: _fsum_nonzero(terms)) == fsum_outcome(lambda: want)
+
+    @pytest.mark.parametrize("terms", [
+        [0.6 * M, 0.6 * M, -0.5 * M],
+        [0.6 * M, 0.6 * M, -M],  # largest first it sums to 0.2M
+    ])
+    def test_overflow_in_array_order_still_raises(self, terms):
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            _fsum_nonzero(np.array(terms))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=TERMS))
+    def test_same_bits_or_exception_as_fsum_in_array_order(self, terms):
+        want = fsum_outcome(lambda: math.fsum(terms[terms != 0].tolist()))
+        assert fsum_outcome(lambda: _fsum_nonzero(terms)) == want

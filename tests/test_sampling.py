@@ -388,15 +388,21 @@ class TestKernelMatchesReference:
         table = np.log(t, dtype=np.float64) * r
         return np.lib.stride_tricks.sliding_window_view(table, len(ys))
 
-    def test_out_is_returned_with_the_bits_of_the_given_buffers(self):
-        # as the oracle passes it: the leading rows of a larger buffer
+    @pytest.mark.parametrize("aliased", [False, True], ids=["window", "out_itself"])
+    def test_out_is_returned_with_the_bits_of_the_given_buffers(self, aliased):
+        # as the oracle passes it: the leading rows of a larger buffer, into
+        # which it copies the window rows and passes as r_log_sum too
         xs, ys = np.arange(121), np.arange(81)
         window = self.oracle_window(xs, ys, self.LAW.r)
         buffer = np.full((50, 81), np.nan)
         for lo, hi in [(0, 40), (40, 90), (90, 121)]:  # x = 0 and x + y = 0 in the first
             out = buffer[: hi - lo]
+            log_sum = window[lo:hi]
+            if aliased:
+                np.copyto(out, log_sum)
+                log_sum = out
             got = standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
-                                         r_log_sum=window[lo:hi], out=out)
+                                         r_log_sum=log_sum, out=out)
             assert got is out
             assert_bitwise(got, statistic(xs[lo:hi, None], ys[None, :], self.LAW))
 

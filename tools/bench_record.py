@@ -11,8 +11,9 @@ file sets, once with ``--trace 0`` (end-to-end metrics) and once with
 checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``),
 then times the checkout's ``oracle`` command at the sizes and regimes of
 ``ORACLE_SIZES`` (three runs each, median kept, in one interpreter warmed by a
-tiny oracle first), then measures a run's memory (``run_memory``): the
-tracemalloc peak of ``run_single`` per sample for each of
+tiny oracle first) and ``exact_distribution`` alone at each of them (the
+command's time at (640, 960) is mostly its support print), then measures a
+run's memory (``run_memory``): the tracemalloc peak of ``run_single`` per sample for each of
 ``RUN_MEMORY_CASES``, in one interpreter, and the peak RSS of ``simulate`` at
 each of ``RSS_SAMPLES`` samples in fresh interpreters (``RSS_RUNS`` each,
 median kept) with its growth per sample between the two sizes, then times
@@ -20,8 +21,8 @@ median kept) with its growth per sample between the two sizes, then times
 each, and ``sweep --preset fig3c`` at each of ``SCALING_THREADS`` (three runs
 each, median kept), all in one interpreter warmed by a tiny sweep first. It
 writes each run's result and provenance, as run.py prints them, the tests'
-wall seconds, passed and failed counts and exit code, the oracle wall
-seconds, the run memory and the sweep wall seconds to
+wall seconds, passed and failed counts and exit code, the oracle and
+enumeration wall seconds, the run memory and the sweep wall seconds to
 ``BENCH_<short-commit>.json`` at the root of this repository. A checkout whose
 tracked files differ from its HEAD is recorded as ``<short-commit>-<first 7 hex digits of src_sha256>``, the
 digest of the sources it measured, so records of different uncommitted trees
@@ -62,6 +63,7 @@ SCALING_RUNS = 3
 _ORACLE_TIMER = """\
 import json, os, statistics, sys, time
 sys.path.insert(0, "src")
+from binratio import ModelParams, Regime, RegimeKind, exact_distribution
 from binratio.cli import main
 
 def oracle(n, m, regime):
@@ -74,13 +76,23 @@ def oracle(n, m, regime):
         sys.exit(f"oracle at ({n}, {m}, {regime}) failed")
     return time.perf_counter() - start
 
+def enumeration(n, m, regime):
+    params = ModelParams(n=n, m=m, p=0.5, s=2.0, r=1.0)
+    regime = None if regime is None else Regime(RegimeKind(regime), None)
+    start = time.perf_counter()
+    exact_distribution(params, regime)
+    return time.perf_counter() - start
+
 oracle(16, 24, "case2")
 sizes, runs = json.loads(sys.argv[1]), int(sys.argv[2])
 rows = []
 for n, m, regime in sizes:
     times = [oracle(n, m, regime) for _ in range(runs)]
+    alone = [enumeration(n, m, regime) for _ in range(runs)]
     rows.append({"n": n, "m": m, "regime": regime, "outcomes": (n + 1) * (m + 1),
-                 "runs_s": times, "median_s": statistics.median(times)})
+                 "runs_s": times, "median_s": statistics.median(times),
+                 "enumeration_runs_s": alone,
+                 "enumeration_median_s": statistics.median(alone)})
 print(json.dumps(rows))
 """
 
@@ -229,7 +241,8 @@ def main(argv=None) -> int:
                                json.dumps(ORACLE_SIZES), str(ORACLE_RUNS))
     for row in oracle_scaling:
         print(f"oracle ({row['n']}, {row['m']}, {row['regime'] or 'raw'}): "
-              f"{row['median_s']:.3f} s", file=sys.stderr)
+              f"{row['median_s']:.3f} s, enumeration alone "
+              f"{row['enumeration_median_s']:.3f} s", file=sys.stderr)
     memory = run_memory(checkout)
     for row in memory["tracemalloc"]:
         print(f"run_single {row['case']} at {row['samples']}: "
