@@ -62,7 +62,7 @@ def scaled_remainder_bound(params: ModelParams, regime: Regime, law: LimitLaw) -
     sizes are meaningful, not absolute domination of the empirical remainder.
     """
     if regime.kind is RegimeKind.COLLAPSE:
-        law = limit_law(params, Regime.case_i())
+        law = limit_law(params, Regime(RegimeKind.HEAVY_DENOMINATOR))
     n, m, r, s = params.n, params.m, params.r, params.s
     log_bound = (
         (s - 2) * math.log(n)

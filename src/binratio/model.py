@@ -123,22 +123,6 @@ class Regime:
             object.__setattr__(self, "alpha", _positive_real(
                 self.alpha, "balanced regime needs alpha > 0 and finite", RegimeError))
 
-    @classmethod
-    def case_i(cls) -> "Regime":
-        return cls(RegimeKind.HEAVY_DENOMINATOR)
-
-    @classmethod
-    def case_ii(cls, alpha: float | None) -> "Regime":
-        return cls(RegimeKind.BALANCED, alpha)
-
-    @classmethod
-    def case_iii(cls) -> "Regime":
-        return cls(RegimeKind.LIGHT_DENOMINATOR)
-
-    @classmethod
-    def collapse(cls) -> "Regime":
-        return cls(RegimeKind.COLLAPSE)
-
 
 @dataclass(frozen=True)
 class LimitLaw:

@@ -23,7 +23,7 @@ slice [x, x + m] of one table of r*log(t), t = 0 .. n + m, so the table is
 built once per enumeration and seen through a sliding window. A block copies
 its rows of the window into its statistic buffer, whose rows are contiguous
 (numpy's subtract reads the overlapping window rows more slowly), and hands
-that copy to ``standardized_statistic`` as both r*log(x + y) and the output
+that copy to ``standardized_statistic`` as r*log(x + y), which T replaces
 (or, for R, subtracts it from s*log(x) where it lies), so it takes one copy
 and one subtraction per outcome and no log, and the statistic is bit for bit
 the one formed from the counts.
@@ -232,9 +232,7 @@ def _enumerate_moments(
                 np.subtract(s_log_x[lo:hi, None], val, out=val)
                 np.exp(val, out=val)
             else:
-                standardized_statistic(
-                    xs[lo:hi, None], ys[None, :], law, r_log_sum=val, out=val
-                )
+                standardized_statistic(xs[lo:hi, None], ys[None, :], law, r_log_sum=val)
             if keep:
                 sup_v[block] = val.ravel()
             # lpy + lpx is lpx + lpy bit for bit, and faster than the outer add

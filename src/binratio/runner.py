@@ -305,13 +305,13 @@ def _size_grid(lo: float, hi: float, steps: int = 11) -> tuple:
 
 _PRESET_BASES = {
     "fig1": (ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0),
-             Regime.collapse()),
+             Regime(RegimeKind.COLLAPSE)),
     "fig2": (ModelParams(n=3_800_000, m=1_100_000_000, p=0.5, s=15.0, r=15.0),
-             Regime.case_i()),
+             Regime(RegimeKind.HEAVY_DENOMINATOR)),
     "fig3": (ModelParams(n=1_000_000, m=1_000_000, p=0.5, s=15.0, r=15.0),
-             Regime.case_ii(None)),
+             Regime(RegimeKind.BALANCED, None)),
     "fig4": (ModelParams(n=1_100_000_000, m=3_800_000, p=0.5, s=16.0, r=15.0),
-             Regime.case_iii()),
+             Regime(RegimeKind.LIGHT_DENOMINATOR)),
 }
 
 _PRESET_SWEEPS = {

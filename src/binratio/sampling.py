@@ -139,8 +139,8 @@ def check_trials(params: ModelParams) -> None:
         )
 
 
-def draw_binomial(n: int, p: float, gen: np.random.Generator, size=None):
-    """Exact Binomial(n, p) draw(s) from an already-constructed generator."""
+def draw_binomial(n: int, p: float, gen: np.random.Generator, size) -> np.ndarray:
+    """``size`` exact Binomial(n, p) draws from an already-constructed generator."""
     n = _integer(n, "n", 1)
     if not (0.0 < p < 1.0):
         raise ParameterError(f"p must lie in (0, 1), got {p!r}")
@@ -188,21 +188,22 @@ class SampleBatch:
             raise ParameterError("inconsistent degeneracy counts")
 
 
-def _meets_contract(x, y, r_log_sum, out) -> bool:
+def _meets_contract(x, y, r_log_sum) -> bool:
     """Whether the inputs meet one of ``standardized_statistic``'s two contracts."""
     arrays = isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
     if r_log_sum is None:
-        return (arrays and out is None and x.dtype == y.dtype == np.float64
+        return (arrays and x.dtype == y.dtype == np.float64
                 and x.shape == y.shape and x.flags.writeable and y.flags.writeable
                 and not np.shares_memory(x, y))  # exact: interleaved columns pass
     with suppress(ValueError):  # x and y do not broadcast
         return (arrays and x.dtype.kind in "biuf" and y.dtype.kind in "biuf"
-                and isinstance(out, np.ndarray) and out.dtype == np.float64
-                and out.shape == np.broadcast_shapes(x.shape, y.shape))
+                and isinstance(r_log_sum, np.ndarray) and r_log_sum.dtype == np.float64
+                and r_log_sum.flags.writeable
+                and r_log_sum.shape == np.broadcast_shapes(x.shape, y.shape))
     return False
 
 
-def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
+def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None):
     """T = scale * (R - center), evaluated as amp * expm1(delta).
 
     Here amp = exp(log_scale + log_center) and
@@ -212,22 +213,21 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     x + y = 0 draw follows the same convention. The x = 0 and x + y = 0
     masks apply only when some count is not positive.
 
-    Without ``r_log_sum``, x and y are writeable float64 arrays of one shape,
-    disjoint in memory, that the caller gives up: r*log(x + y) is formed in
-    y's buffer, s*log(x) in x's, and T is returned in y's. With it, x and y
-    are integer or float arrays, ``r_log_sum`` holds r*log(x + y) (log(0)
-    read as log(1)) in their broadcast shape, and ``out`` is a float64 array
-    of that shape: x and y are only read, ``r_log_sum`` is only read unless it
-    is ``out`` itself, and T is formed in ``out`` and returned, bit for bit as
-    without ``r_log_sum``. The oracle copies it from one table into ``out``
-    and passes that buffer as both. Any other input is a ParameterError.
+    T replaces r*log(x + y) where it lies. Without ``r_log_sum``, x and y are
+    writeable float64 arrays of one shape, disjoint in memory, that the caller
+    gives up: r*log(x + y) is formed in y's buffer, s*log(x) in x's, and T is
+    returned in y's. With it, x and y are integer or float arrays that are
+    only read, and ``r_log_sum`` is a writeable float64 array of their
+    broadcast shape holding r*log(x + y) (log(0) read as log(1)): T is formed
+    in it and returned, bit for bit as without ``r_log_sum``. Any other input
+    is a ParameterError.
     """
     amp = math.exp(law.log_scale + law.log_center)
-    if not _meets_contract(x, y, r_log_sum, out):
+    if not _meets_contract(x, y, r_log_sum):
         raise ParameterError(
             "standardized_statistic takes writeable float64 arrays x and y of one shape "
-            "that share no memory, or r_log_sum, integer or float arrays x and y and "
-            "out, a float64 array of their broadcast shape"
+            "that share no memory, or integer or float arrays x and y and r_log_sum, "
+            "a writeable float64 array of their broadcast shape"
         )
     given_up = r_log_sum is None
     # x.min() > 0 and y.min() >= 0 also rule out NaN, so no mask is needed
@@ -238,18 +238,18 @@ def standardized_statistic(x, y, law: LimitLaw, r_log_sum=None, out=None):
     # log(0) is -inf, unwarned: the x = 0 mask replaces it by log(1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if given_up:
-            out = r_log_sum = np.add(x, y, out=y)
+            r_log_sum = np.add(x, y, out=y)
             if masked:
-                np.copyto(out, 1.0, where=~(out > 0))
-            np.log(out, out=out)
-            out *= law.r
+                np.copyto(r_log_sum, 1.0, where=~(r_log_sum > 0))
+            np.log(r_log_sum, out=r_log_sum)
+            r_log_sum *= law.r
         if masked:
             x_pos = x > 0
         delta = np.log(x, out=x if given_up else None, dtype=np.float64)
         if masked:
             np.copyto(delta, 0.0, where=~x_pos)
         delta *= law.s
-        np.subtract(delta, r_log_sum, out=out)
+        out = np.subtract(delta, r_log_sum, out=r_log_sum)
         out -= law.log_center
         np.expm1(out, out=out)
         if masked:
@@ -267,7 +267,7 @@ def simulate_batch(x, y, law: LimitLaw) -> SampleBatch:
     ``law`` is the caller's ``limit_law(params, regime)``. The statistic is
     formed in the two buffers and sorted where it lies; makes no draw.
     """
-    if not (_meets_contract(x, y, None, None) and x.ndim == 1 and x.size):
+    if not (_meets_contract(x, y, None) and x.ndim == 1 and x.size):
         raise ParameterError("simulate_batch takes nonempty one-dimensional writeable "
                              "float64 arrays x and y of one shape that share no memory")
     zero_num = zero_den = 0

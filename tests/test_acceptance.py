@@ -24,6 +24,7 @@ from read_only import statistic
 from binratio import (
     ModelParams,
     Regime,
+    RegimeKind,
     draw_counts,
     exact_distribution,
     limit_law,
@@ -112,7 +113,7 @@ def test_criterion_3_degeneracy_spike(capsys):
 
 def test_criterion_4_oracle_convergence(capsys):
     start = time.perf_counter()
-    regime = Regime.case_ii(1.5)
+    regime = Regime(RegimeKind.BALANCED, 1.5)
     errs = []
     for k in (1, 4, 16):
         params = ModelParams(n=40 * k, m=60 * k, p=0.5, s=2.0, r=1.0)
@@ -174,7 +175,7 @@ def test_criterion_6_remainder_vanishing(capsys):
     balanced = [
         _remainder_p99(
             ModelParams(n=n, m=n, p=0.5, s=2.0, r=1.0),
-            Regime.case_ii(1.0),
+            Regime(RegimeKind.BALANCED, 1.0),
             SeedSpec(MASTER_SEED),
         )
         for n in (10**4, 10**5, 10**6)
@@ -182,7 +183,7 @@ def test_criterion_6_remainder_vanishing(capsys):
     collapse = [
         _remainder_p99(
             ModelParams(n=n, m=2_000_000_000, p=0.5, s=15.0, r=15.0),
-            Regime.collapse(),
+            Regime(RegimeKind.COLLAPSE),
             SeedSpec(MASTER_SEED),
         )
         for n in (200_000, 400_000)
@@ -204,7 +205,7 @@ def test_criterion_7_numerical_stability(capsys):
         for s in range(1, 6):
             for r in range(1, 6):
                 params = ModelParams(n=n, m=m, p=0.5, s=float(s), r=float(r))
-                law = limit_law(params, Regime.case_ii(m / n))
+                law = limit_law(params, Regime(RegimeKind.BALANCED, m / n))
                 amp = math.exp(law.log_scale + law.log_center)
                 direct = math.exp(law.log_scale) * (
                     np.where(x > 0, x, 1.0) ** s / (x + y + (x == 0)) ** r
@@ -218,7 +219,7 @@ def test_criterion_7_numerical_stability(capsys):
     exhaustive_ok = worst <= 1e-10
 
     big = ModelParams(n=10**9, m=10**9, p=0.5, s=30.0, r=30.0)
-    law = limit_law(big, Regime.case_ii(1.0))
+    law = limit_law(big, Regime(RegimeKind.BALANCED, 1.0))
     sigma = math.sqrt(big.n * 0.25)
     x = np.arange(big.n / 2 - 10 * sigma, big.n / 2 + 10 * sigma, 10_000.0)
     stable = statistic(x, np.full_like(x, big.m / 2), law)

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py with the perfbench runs and the export stubbed: the
-runs alternate, and the medians, quartiles, wins and verdicts are right."""
+runs alternate, untraced, and the medians, quartiles, wins and verdicts are right."""
 
 import importlib.util
 import json
@@ -31,16 +31,17 @@ def report(monkeypatch, tmp_path, capsys):
         assert rev == "REV"
         return into / "src"
 
-    def run_bench(tree, workload, seed, seconds):
+    def run_workload(tree, workload, seed, seconds, trace):
         side = "change" if tree == bench_pairs.ROOT else "rev"
-        calls.append((workload, seed, side, seconds))
+        calls.append((workload, seed, side, seconds, trace))
         metrics = {name: {"value": values[seed - 1], "unit": "?"}
                    for name, values in VALUES[side].items()}
-        return {"correct": True, "attempted": 10, "failed": int(side == "change" and seed == 3),
-                "metrics": metrics}
+        result = {"correct": True, "attempted": 10,
+                  "failed": int(side == "change" and seed == 3), "metrics": metrics}
+        return {"provenance": {}, "result": result}
 
     monkeypatch.setattr(bench_pairs, "export", export)
-    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "run_workload", run_workload)
     code = bench_pairs.main(["REV", "--pairs", "4", "--workload", "small_batch_sweep"])
     return code, json.loads(capsys.readouterr().out), calls
 
@@ -48,7 +49,7 @@ def report(monkeypatch, tmp_path, capsys):
 def test_pairs_alternate_which_side_runs_first(report):
     _, _, calls = report
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    assert calls == [("small_batch_sweep", seed, side, seconds) for seed, side in [
+    assert calls == [("small_batch_sweep", seed, side, seconds, 0) for seed, side in [
         (1, "rev"), (1, "change"), (2, "change"), (2, "rev"),
         (3, "rev"), (3, "change"), (4, "change"), (4, "rev")]]
 

@@ -23,6 +23,7 @@ from binratio import (
     ParameterError,
     Regime,
     RegimeError,
+    RegimeKind,
     SweepSpec,
     run_single,
     run_sweep,
@@ -110,7 +111,8 @@ def test_model_params(n, m, p, s, r):
 @settings(max_examples=300, deadline=None)
 @given(alpha=NUMBERS)
 def test_regime_alpha(alpha):
-    regime = build_or_raise(lambda: Regime.case_ii(alpha), real_in(alpha), RegimeError)
+    regime = build_or_raise(lambda: Regime(RegimeKind.BALANCED, alpha), real_in(alpha),
+                            RegimeError)
     if regime is not None:
         assert_stored(regime, {"alpha": alpha}, float)
 
@@ -134,9 +136,9 @@ def test_sweep_spec(replicates, samples, bins, master_seed, direction):
              and integer_in(samples, 1) and integer_in(bins, 2)
              and run_fits(samples, bins) and integer_in(master_seed, 0, 2**64)
              and (direction is None or isinstance(direction, Direction)))
-    spec = build_or_raise(lambda: SweepSpec(base=PARAMS, regime=Regime.case_ii(None),
-                                            vary="p", grid=(0.5,), direction=direction,
-                                            **fields), valid)
+    regime = Regime(RegimeKind.BALANCED, None)
+    spec = build_or_raise(lambda: SweepSpec(base=PARAMS, regime=regime, vary="p", grid=(0.5,),
+                                            direction=direction, **fields), valid)
     if spec is not None:
         assert_stored(spec, fields, int)
 
@@ -155,7 +157,7 @@ def test_run_single_checks_settings_before_any_draw(samples, bins, direction):
     valid = (integer_in(samples, 1) and integer_in(bins, 2) and run_fits(samples, bins)
              and (direction is None or isinstance(direction, Direction)))
     def run():
-        return run_single(PARAMS, Regime.case_ii(None), samples=samples, bins=bins,
+        return run_single(PARAMS, Regime(RegimeKind.BALANCED, None), samples=samples, bins=bins,
                           direction=direction)
 
     with mock.patch.object(runner, "draw_counts", first_draw):
@@ -177,8 +179,8 @@ STUB_RUN = SimpleNamespace(
 @settings(max_examples=300, deadline=None)
 @given(threads=NUMBERS)
 def test_run_sweep_threads(threads):
-    spec = SweepSpec(base=PARAMS, regime=Regime.case_ii(None), vary="p", grid=(0.5,),
-                     samples=100)
+    spec = SweepSpec(base=PARAMS, regime=Regime(RegimeKind.BALANCED, None), vary="p",
+                     grid=(0.5,), samples=100)
     with mock.patch.object(runner, "run_single", lambda *args, **kw: STUB_RUN):
         rows = build_or_raise(lambda: run_sweep(spec, threads=threads),
                               integer_in(threads, 1, runner.MAX_THREADS + 1))

@@ -13,7 +13,7 @@ from delta_method import (
 )
 from read_only import statistic
 
-from binratio import ModelParams, ParameterError, Regime, limit_law
+from binratio import ModelParams, ParameterError, Regime, RegimeKind, limit_law
 from binratio.calculus import scaled_remainder_bound, scaled_remainder_samples
 from binratio.sampling import SeedSpec, draw_binomial, make_generator
 
@@ -119,7 +119,7 @@ def remainder(params, regime, x, y):
     return float(scaled_q[0] / math.exp(law.log_scale))
 
 
-REMAINDER_REGIMES = [Regime.case_i(), Regime.case_ii(None), Regime.case_iii()]
+REMAINDER_REGIMES = [Regime(kind) for kind in RegimeKind if kind is not RegimeKind.COLLAPSE]
 
 
 class TestRemainder:
@@ -151,13 +151,13 @@ class TestRemainder:
         fxx, fxy, fyy = hessian((x0, y0), params.r, params.s)
         target = abs(0.5 * (u * u * fxx + 2 * u * v * fxy + v * v * fyy))
         t = 1e-3
-        q = remainder(params, Regime.case_ii(None), x0 + t * u, y0 + t * v)
+        q = remainder(params, Regime(RegimeKind.BALANCED, None), x0 + t * u, y0 + t * v)
         assert abs(q) / t**2 == pytest.approx(target, rel=0.01)
 
     def test_rejects_negative_observations(self):
         params = ModelParams(n=10, m=10, p=0.5, s=1.0, r=1.0)
         with pytest.raises(ParameterError):
-            remainder(params, Regime.case_ii(None), -1.0, 2.0)
+            remainder(params, Regime(RegimeKind.BALANCED, None), -1.0, 2.0)
 
 
 def bound_of(params, regime):
@@ -167,7 +167,8 @@ def bound_of(params, regime):
 class TestScaledRemainderBound:
     def test_balanced_decreases_with_n(self):
         vals = [
-            bound_of(ModelParams(n=n, m=n, p=0.5, s=2.0, r=1.0), Regime.case_ii(1.0))
+            bound_of(ModelParams(n=n, m=n, p=0.5, s=2.0, r=1.0),
+                     Regime(RegimeKind.BALANCED, 1.0))
             for n in [10**6, 4 * 10**6]
         ]
         assert vals[1] < vals[0]
@@ -179,12 +180,12 @@ class TestScaledRemainderBound:
         for n in [10**4, 10**5, 10**6]:
             m = int(n**1.2)
             params = ModelParams(n=n, m=m, p=0.5, s=2.0, r=2.0)
-            vals.append(bound_of(params, Regime.case_i()))
+            vals.append(bound_of(params, Regime(RegimeKind.HEAVY_DENOMINATOR)))
         assert vals[0] > vals[1] > vals[2]
 
     def test_collapse_bound_is_large(self):
         params = ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0)
-        assert bound_of(params, Regime.collapse()) > 1.0
+        assert bound_of(params, Regime(RegimeKind.COLLAPSE)) > 1.0
 
 
 # scale * Q written out: T minus scale * grad f(np, mp) . (x - np, y - mp);
@@ -233,12 +234,12 @@ class TestScaledRemainderSamples:
         return float(np.quantile(sq, 0.99))
 
     def test_balanced_p99_decreases_with_size(self):
-        p99s = [self._p99(n, n, Regime.case_ii(1.0)) for n in [10**4, 10**5, 10**6]]
+        p99s = [self._p99(n, n, Regime(RegimeKind.BALANCED, 1.0)) for n in [10**4, 10**5, 10**6]]
         assert p99s[0] > p99s[1] > p99s[2]
 
     def test_zero_at_expansion_point(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         sq = scaled_remainder_samples(
             params, law, np.array([50.0]), np.array([50.0])
         )
@@ -246,7 +247,7 @@ class TestScaledRemainderSamples:
 
     def test_result_is_returned_in_y_buffer(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         y = np.array([50.0, 48.0])
         assert scaled_remainder_samples(params, law, np.array([40.0, 55.0]), y) is y
 
@@ -256,7 +257,7 @@ class TestScaledRemainderSamples:
     ], ids=["int", "lengths"])
     def test_needs_two_float64_arrays_of_one_shape(self, x, y):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         with pytest.raises(ParameterError, match="writeable float64 arrays"):
             scaled_remainder_samples(params, law, x, y)
 
@@ -264,23 +265,22 @@ class TestScaledRemainderSamples:
         # x*(x+y) = 1.6e-299 * 2e-291 at (np, mp) is 0 as a float, though
         # x and x + y are positive
         params = ModelParams(n=16, m=2 * 10**9, p=1e-300, s=1e-300, r=1e-160)
-        law = limit_law(params, Regime.collapse())
+        law = limit_law(params, Regime(RegimeKind.COLLAPSE))
         with pytest.raises(ParameterError, match="underflows to 0"):
             scaled_remainder_samples(params, law, np.array([1.0]), np.array([1.0]))
 
-    @pytest.mark.parametrize("regime", [
-        Regime.case_i(), Regime.case_ii(None), Regime.case_iii(), Regime.collapse(),
-    ], ids=lambda regime: regime.kind.value)
+    @pytest.mark.parametrize("regime", [Regime(kind) for kind in RegimeKind],
+                             ids=lambda regime: regime.kind.value)
     @pytest.mark.parametrize("n, m, p, r, s", REMAINDER_BITS_GRID)
     def test_bits_match_written_out_form(self, n, m, p, r, s, regime):
         params = ModelParams(n=n, m=m, p=p, s=s, r=r)
-        if (n, m, regime) == (7, 2 * 10**9, Regime.case_ii(None)):
+        if (n, m, regime) == (7, 2 * 10**9, Regime(RegimeKind.BALANCED, None)):
             # alpha = m/n makes the balanced variance underflow to 0, which
             # limit_law rejects; scaled_remainder_samples does not read the
             # variance, and case 3 has the same center and scale
             with pytest.raises(ParameterError, match="underflows to 0"):
                 limit_law(params, regime)
-            regime = Regime.case_iii()
+            regime = Regime(RegimeKind.LIGHT_DENOMINATOR)
         law = limit_law(params, regime)
         x, y = (np.array(col) for col in zip(*observation_rows(n, m, p)))
         got = scaled_remainder_samples(params, law, x.copy(), y.copy())

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import binratio
-from binratio import ModelParams, Regime, exact_distribution, runner, sampling
+from binratio import ModelParams, Regime, RegimeKind, exact_distribution, runner, sampling
 from binratio.cli import BOUND_CSV_HEADER, SWEEP_CSV_HEADER, _build_parser, main
 
 # child interpreters import the binratio these tests import, installed or not
@@ -322,7 +322,7 @@ class TestOracle:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         params = ModelParams(n=120, m=250, p=0.3, s=2.0, r=1.0)
-        dist = exact_distribution(params, Regime.case_ii(None) if regime else None)
+        dist = exact_distribution(params, Regime(RegimeKind.BALANCED, None) if regime else None)
         payload = {**json.loads(out), "support": [
             [f"{v:.17g}", f"{p:.17g}"]
             for v, p in zip(dist.values.tolist(), dist.probabilities.tolist())

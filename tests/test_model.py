@@ -67,11 +67,11 @@ class TestModelParams:
             warnings.simplefilter("error")
             params = ModelParams(n=1, m=1, p=0.5, s=dtype(2.0), r=dtype(0.5))
             assert (params.s, params.r) == (2.0, 0.5)
-            assert Regime.case_ii(dtype(1.5)).alpha == 1.5
+            assert Regime(RegimeKind.BALANCED, dtype(1.5)).alpha == 1.5
             with pytest.raises(ParameterError, match="s must be"):
                 ModelParams(n=1, m=1, p=0.5, s=dtype("inf"), r=1.0)
             with pytest.raises(RegimeError):
-                Regime.case_ii(dtype(0.0))
+                Regime(RegimeKind.BALANCED, dtype(0.0))
 
     def test_fraction_beyond_float_range_rejected_exactly(self):
         # float() of it raises OverflowError, so it is compared as it is
@@ -85,21 +85,21 @@ class TestModelParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=message):
-                limit_law(params, Regime.case_i())
+                limit_law(params, Regime(RegimeKind.HEAVY_DENOMINATOR))
 
 
 class TestRegime:
     def test_balanced_needs_positive_alpha(self):
         with pytest.raises(RegimeError):
-            Regime.case_ii(0.0)
+            Regime(RegimeKind.BALANCED, 0.0)
         with pytest.raises(RegimeError):
-            Regime.case_ii(-1.0)
+            Regime(RegimeKind.BALANCED, -1.0)
         with pytest.raises(RegimeError):
-            Regime.case_ii(math.inf)
+            Regime(RegimeKind.BALANCED, math.inf)
         with pytest.raises(RegimeError):
-            Regime.case_ii("x")
+            Regime(RegimeKind.BALANCED, "x")
         with pytest.raises(RegimeError):
-            Regime.case_ii(10**400)
+            Regime(RegimeKind.BALANCED, 10**400)
         with pytest.raises(RegimeError):
             Regime(RegimeKind.BALANCED, True)
 
@@ -120,8 +120,8 @@ class TestRegime:
         preset("fig3a").base,
     ], ids=["m_below_n", "m_above_n", "fig3_base"])
     def test_limit_law_without_alpha_takes_m_over_n(self, params):
-        implicit = limit_law(params, Regime.case_ii(None))
-        explicit = limit_law(params, Regime.case_ii(params.m / params.n))
+        implicit = limit_law(params, Regime(RegimeKind.BALANCED, None))
+        explicit = limit_law(params, Regime(RegimeKind.BALANCED, params.m / params.n))
         assert [v.hex() for v in astuple(implicit)] == [
             v.hex() for v in astuple(explicit)
         ]
@@ -131,41 +131,42 @@ class TestLimitLaw:
     def test_balanced_variance_direct_substitution(self):
         # p^-1 (1-p) ((2-1)^2 + 1) / 2^4 = 2/16
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=1.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         assert law.variance == pytest.approx(0.125, rel=1e-12)
 
     def test_degenerate_variance_at_equal_exponents(self):
         params = ModelParams(n=123, m=456, p=0.3, s=7.0, r=7.0)
-        law = limit_law(params, Regime.case_iii())
+        law = limit_law(params, Regime(RegimeKind.LIGHT_DENOMINATOR))
         assert law.variance == 0.0
 
     @pytest.mark.parametrize("params, regime", [
         # p^(2(s-r)-1) = 1e-300^57 underflows; (s - r)^2 is not 0
-        (ModelParams(n=1, m=1, p=1e-300, s=30.0, r=1.0), Regime.case_iii()),
+        (ModelParams(n=1, m=1, p=1e-300, s=30.0, r=1.0), Regime(RegimeKind.LIGHT_DENOMINATOR)),
         # (1 + alpha)^-(2(r+1)) underflows at alpha = 1e150
-        (ModelParams(n=10, m=10, p=0.5, s=2.0, r=2.0), Regime.case_ii(1e150)),
+        (ModelParams(n=10, m=10, p=0.5, s=2.0, r=2.0), Regime(RegimeKind.BALANCED, 1e150)),
         # (s(1 + alpha) - r)^2 + alpha r^2 underflows to 0 before its log
-        (ModelParams(n=2, m=300, p=0.5, s=1e-320, r=1e-300), Regime.case_ii(None)),
+        (ModelParams(n=2, m=300, p=0.5, s=1e-320, r=1e-300), Regime(RegimeKind.BALANCED, None)),
     ], ids=["prefactor", "balanced_alpha", "balanced_numerator"])
     def test_underflowing_variance_is_parameter_error(self, params, regime):
         with pytest.raises(ParameterError, match="underflows to 0"):
             limit_law(params, regime)
 
     def test_center_half_for_symmetric_unit_exponents(self):
-        for regime in [Regime.case_i(), Regime.case_ii(1.0), Regime.case_iii()]:
+        for regime in [Regime(RegimeKind.HEAVY_DENOMINATOR), Regime(RegimeKind.BALANCED, 1.0),
+                       Regime(RegimeKind.LIGHT_DENOMINATOR)]:
             params = ModelParams(n=500, m=500, p=0.5, s=1.0, r=1.0)
             law = limit_law(params, regime)
             assert law.center == pytest.approx(0.5, rel=1e-12)
 
     def test_log_center_reproduces_center(self):
         params = ModelParams(n=1234, m=987, p=0.37, s=3.5, r=2.25)
-        law = limit_law(params, Regime.case_i())
+        law = limit_law(params, Regime(RegimeKind.HEAVY_DENOMINATOR))
         assert math.exp(law.log_center) == pytest.approx(law.center, rel=1e-12)
 
     def test_log_center_finite_when_powers_overflow(self):
         # n^s alone is ~1e270; the log-space center stays finite.
         params = ModelParams(n=10**9, m=10**9, p=0.5, s=30.0, r=30.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         assert math.isfinite(law.log_center)
         assert law.center > 0
 
@@ -173,22 +174,23 @@ class TestLimitLaw:
         from binratio import exact_distribution
 
         params = ModelParams(n=40, m=60, p=0.5, s=2.0, r=1.0)
-        regime = Regime.case_ii(1.5)
+        regime = Regime(RegimeKind.BALANCED, 1.5)
         law = limit_law(params, regime)
         exact = exact_distribution(params, regime)
         assert law.variance == pytest.approx(exact.variance, rel=0.25)
 
     def test_collapse_uses_heavy_denominator_variance(self):
         params = ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0)
-        collapse = limit_law(params, Regime.collapse())
-        heavy = limit_law(params, Regime.case_i())
+        collapse = limit_law(params, Regime(RegimeKind.COLLAPSE))
+        heavy = limit_law(params, Regime(RegimeKind.HEAVY_DENOMINATOR))
         assert collapse.variance == heavy.variance
         # but the collapse scaling is the balanced/light one
-        balanced_like = limit_law(params, Regime.case_iii())
+        balanced_like = limit_law(params, Regime(RegimeKind.LIGHT_DENOMINATOR))
         assert collapse.log_scale == balanced_like.log_scale
 
     @pytest.mark.parametrize("regime", [
-        Regime.case_i(), Regime.case_ii(1.0), Regime.case_iii(), Regime.collapse(),
+        Regime(RegimeKind.HEAVY_DENOMINATOR), Regime(RegimeKind.BALANCED, 1.0),
+        Regime(RegimeKind.LIGHT_DENOMINATOR), Regime(RegimeKind.COLLAPSE),
     ])
     def test_overflowing_prefactor_is_parameter_error(self, regime):
         # p^(2(s-r)-1) = 1e-12^-59 is not a float
@@ -200,16 +202,16 @@ class TestLimitLaw:
         # the prefactor 1e-12^-25.4 is finite, its product with s^2 is not
         params = ModelParams(n=10, m=10, p=1e-12, s=100.0, r=112.2)
         with pytest.raises(ParameterError, match="overflows"):
-            limit_law(params, Regime.case_i())
+            limit_law(params, Regime(RegimeKind.HEAVY_DENOMINATOR))
         # (s(1 + alpha) - r)^2 of the balanced variance overflows on its own
         for s, r, alpha in [(1e300, 1.0, 1.0), (1.0, 1.0, 1e308), (1.0, 1e300, 1.0)]:
             params = ModelParams(n=100, m=100, p=0.5, s=s, r=r)
             with pytest.raises(ParameterError, match="overflows"):
-                limit_law(params, Regime.case_ii(alpha))
+                limit_law(params, Regime(RegimeKind.BALANCED, alpha))
         # and (s - r)^2 of the light-denominator variance
         params = ModelParams(n=1000, m=10, p=0.5, s=1e300, r=1.0)
         with pytest.raises(ParameterError, match="overflows"):
-            limit_law(params, Regime.case_iii())
+            limit_law(params, Regime(RegimeKind.LIGHT_DENOMINATOR))
 
 
 # every entry point that makes a law, called with (params, regime)
@@ -232,7 +234,7 @@ class TestArgumentTypes:
 
     def test_params_must_be_model_params(self, make):
         with pytest.raises(ParameterError, match=r"must be a ModelParams, got \(1000, "):
-            make(astuple(self.PARAMS), Regime.case_ii(None))
+            make(astuple(self.PARAMS), Regime(RegimeKind.BALANCED, None))
 
     def test_regime_must_be_a_regime(self, make):
         with pytest.raises(RegimeError, match="regime must be a Regime, got 'case2'"):
@@ -283,10 +285,10 @@ class TestVarianceConsistency:
 def test_variances_never_negative(p, s, r, alpha):
     params = ModelParams(n=100, m=100, p=p, s=s, r=r)
     for regime in [
-        Regime.case_i(),
-        Regime.case_ii(alpha),
-        Regime.case_iii(),
-        Regime.collapse(),
+        Regime(RegimeKind.HEAVY_DENOMINATOR),
+        Regime(RegimeKind.BALANCED, alpha),
+        Regime(RegimeKind.LIGHT_DENOMINATOR),
+        Regime(RegimeKind.COLLAPSE),
     ]:
         try:
             law = limit_law(params, regime)

@@ -20,6 +20,7 @@ from binratio import (
     ModelParams,
     ParameterError,
     Regime,
+    RegimeKind,
     draw_counts,
     exact_distribution,
     limit_law,
@@ -167,7 +168,7 @@ class TestExactDistribution:
         assert dist2.variance == pytest.approx(10 * 0.3 * 0.7, rel=1e-12)
 
     def test_standardized_variance_tracks_law(self):
-        regime = Regime.case_ii(1.5)
+        regime = Regime(RegimeKind.BALANCED, 1.5)
         small = ModelParams(n=40, m=60, p=0.5, s=2.0, r=1.0)
         big = ModelParams(n=400, m=600, p=0.5, s=2.0, r=1.0)
         law_small = limit_law(small, regime)
@@ -179,7 +180,7 @@ class TestExactDistribution:
 
     def test_matches_monte_carlo(self):
         params = ModelParams(n=50, m=80, p=0.3, s=2.0, r=1.0)
-        regime = Regime.case_ii(1.6)
+        regime = Regime(RegimeKind.BALANCED, 1.6)
         dist = exact_distribution(params, regime)
         law = limit_law(params, regime)
         batch = simulate_batch(*draw_counts(params, 10**6, SeedSpec(77)), law)
@@ -207,7 +208,7 @@ class TestExactDistribution:
     def test_non_finite_terms_at_zero_probability_raise(self, n, r, message):
         # exp is skipped there, but 0 * inf is still NaN in the moments
         params = ModelParams(n=n, m=n, p=0.5, s=1.0, r=r)
-        regime = Regime.case_ii(None)
+        regime = Regime(RegimeKind.BALANCED, None)
         xs = np.arange(n + 1)
         val = statistic(xs[:, None], xs[None, :], limit_law(params, regime))
         lp = _log_binom_pmf(xs, n, 0.5)
@@ -230,7 +231,7 @@ class TestExactDistribution:
     def test_support_kept_up_to_the_limit(self, m, kept):
         n, p, s, r = 999, 0.5, 2.0, 1.0
         params = ModelParams(n=n, m=m, p=p, s=s, r=r)
-        regime = Regime.case_ii(None)
+        regime = Regime(RegimeKind.BALANCED, None)
         got = exact_distribution(params, regime)
         want = full_exp_reference(n, m, p, s, r, limit_law(params, regime))
         for key in ("mean", "variance", "probability_total"):
@@ -256,7 +257,7 @@ def variances(base, regime, factors):
 class TestConvergence:
     def test_relative_error_decreases(self):
         base = ModelParams(n=50, m=50, p=0.5, s=1.0, r=1.0)
-        rows = variances(base, Regime.case_ii(1.0), [1, 4, 16])
+        rows = variances(base, Regime(RegimeKind.BALANCED, 1.0), [1, 4, 16])
         errs = [abs(exact - law) / law for exact, law in rows]
         assert errs[0] > errs[1] > errs[2]
 
@@ -264,7 +265,7 @@ class TestConvergence:
         # the limit law's variance is 0 at s = r under case 3, so the exact
         # variance itself must shrink
         base = ModelParams(n=30, m=30, p=0.5, s=2.0, r=2.0)
-        rows = variances(base, Regime.case_iii(), [1, 4, 16])
+        rows = variances(base, Regime(RegimeKind.LIGHT_DENOMINATOR), [1, 4, 16])
         assert all(law == 0.0 for _, law in rows)
         vals = [exact for exact, _ in rows]
         assert vals[0] > vals[1] > vals[2]
@@ -272,7 +273,7 @@ class TestConvergence:
     def test_standardized_mean_shrinks(self):
         # asymmetric instance so the first-order bias is nonzero and the
         # standardized mean has something to shrink from
-        regime = Regime.case_ii(1.0)
+        regime = Regime(RegimeKind.BALANCED, 1.0)
         means = []
         for k in [1, 4, 16]:
             params = ModelParams(n=50 * k, m=50 * k, p=0.3, s=2.0, r=1.0)
@@ -299,17 +300,17 @@ class TestOnePassEquivalence:
 
     def test_benchmark_instance_matches_golden(self):
         golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["oracle_moments"][0]
-        got = self.check(1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None))
+        got = self.check(1600, 2400, 0.5, 2.0, 1.0, Regime(RegimeKind.BALANCED, None))
         for key, want in golden.items():
             assert getattr(got, key) == pytest.approx(float(want), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)])
+    @pytest.mark.parametrize("regime", [None, Regime(RegimeKind.BALANCED, None)])
     def test_single_row_blocks(self, regime):
         m = BLOCK_OUTCOMES + 10
         assert max(1, BLOCK_OUTCOMES // (m + 1)) == 1
         self.check(4, m, 0.3, 2.0, 1.0, regime)
 
-    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)])
+    @pytest.mark.parametrize("regime", [None, Regime(RegimeKind.BALANCED, None)])
     def test_ragged_last_block(self, regime):
         n, m = 400, 99
         rows = BLOCK_OUTCOMES // (m + 1)
@@ -320,7 +321,7 @@ class TestOnePassEquivalence:
     def test_underflowing_strata(self, p):
         lpx = _log_binom_pmf(np.arange(3001), 3000, p)
         assert np.count_nonzero(np.exp(lpx) == 0) > 0  # some strata have w_x = 0
-        self.check(3000, 2000, p, 2.0, 1.0, Regime.case_ii(None))
+        self.check(3000, 2000, p, 2.0, 1.0, Regime(RegimeKind.BALANCED, None))
 
     def test_zero_exponent_raw_path(self):
         got = self.check(30, 20, 0.3, 1.0, 0.0)
@@ -331,7 +332,8 @@ class TestOnePassEquivalence:
 class TestBlockSize:
     """Every reduction spans whole rows, so the block size changes no bit."""
 
-    @pytest.mark.parametrize("regime", [None, Regime.case_ii(None)], ids=["raw", "case2"])
+    @pytest.mark.parametrize("regime", [None, Regime(RegimeKind.BALANCED, None)],
+                             ids=["raw", "case2"])
     @pytest.mark.parametrize("n, m, p", [
         (700, 800, 0.3),  # support kept
         (1600, 2400, 0.5),  # moments only
@@ -361,10 +363,10 @@ class TestBlockSize:
         # the three block buffers take about 1.1 MB here; arrays allocated
         # afresh in every block would push the peak above 2 MB
         params = ModelParams(n=1600, m=2400, p=0.5, s=2.0, r=1.0)
-        exact_distribution(params, Regime.case_ii(None))
+        exact_distribution(params, Regime(RegimeKind.BALANCED, None))
         tracemalloc.start()
         try:
-            exact_distribution(params, Regime.case_ii(None))
+            exact_distribution(params, Regime(RegimeKind.BALANCED, None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,16 +456,16 @@ class TestSkippedExp:
         assert np.exp(np.nextafter(cut, -np.inf)) < 2.0**-1022
 
     @pytest.mark.parametrize("n, m, p, s, r, regime", [
-        (1600, 2400, 0.5, 2.0, 1.0, Regime.case_ii(None)),
-        (1600, 2400, 0.5, 15.0, 15.0, Regime.case_ii(None)),
+        (1600, 2400, 0.5, 2.0, 1.0, Regime(RegimeKind.BALANCED, None)),
+        (1600, 2400, 0.5, 15.0, 15.0, Regime(RegimeKind.BALANCED, None)),
         (1600, 2400, 0.3, 2.0, 1.0, None),
-        (3000, 2000, 0.999, 2.0, 1.0, Regime.case_ii(None)),
-        (3000, 2000, 1e-6, 2.0, 1.0, Regime.case_ii(None)),
-        (700, 800, 0.5, 2.0, 1.0, Regime.case_ii(None)),  # support kept
+        (3000, 2000, 0.999, 2.0, 1.0, Regime(RegimeKind.BALANCED, None)),
+        (3000, 2000, 1e-6, 2.0, 1.0, Regime(RegimeKind.BALANCED, None)),
+        (700, 800, 0.5, 2.0, 1.0, Regime(RegimeKind.BALANCED, None)),  # support kept
         (700, 800, 0.5, 2.0, 1.0, None),
         (1500, 600, 0.5, 2.0, 0.0, None),  # r = 0: the raw path, R = X^s
         # most blocks have no column whose probability can be nonzero
-        (20000, 300, 0.01, 2.0, 1.0, Regime.case_ii(None)),
+        (20000, 300, 0.01, 2.0, 1.0, Regime(RegimeKind.BALANCED, None)),
         # raw, support kept: the x = 0 row and t = x + y = 0 are compared too
         (700, 800, 0.3, 2.0, 2.0, None),
     ])

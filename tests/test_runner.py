@@ -17,6 +17,7 @@ from binratio import (
     ModelParams,
     ParameterError,
     Regime,
+    RegimeKind,
     SweepSpec,
     run_bound_diagnostics,
     run_single,
@@ -35,7 +36,7 @@ BALANCED_PARAMS = ModelParams(n=10**5, m=10**5, p=0.5, s=2.0, r=1.0)
 def small_spec(**overrides):
     kwargs = dict(
         base=BALANCED_PARAMS,
-        regime=Regime.case_ii(None),
+        regime=Regime(RegimeKind.BALANCED, None),
         vary="r",
         grid=(1.0, 2.0, 3.0),
         samples=2000,
@@ -48,9 +49,9 @@ def small_spec(**overrides):
 
 class TestRunSingle:
     def test_deterministic(self):
-        a = run_single(BALANCED_PARAMS, Regime.case_ii(1.0), samples=2000,
+        a = run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0), samples=2000,
                        seed=SeedSpec(3))
-        b = run_single(BALANCED_PARAMS, Regime.case_ii(1.0), samples=2000,
+        b = run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0), samples=2000,
                        seed=SeedSpec(3))
         assert a.report == b.report
         assert np.array_equal(a.simulated.values, b.simulated.values)
@@ -58,23 +59,23 @@ class TestRunSingle:
     def test_seed_stability_of_kl(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
         kls = [
-            run_single(params, Regime.case_ii(1.0), samples=10**5,
+            run_single(params, Regime(RegimeKind.BALANCED, 1.0), samples=10**5,
                        seed=SeedSpec(seed)).report.kl
             for seed in (101, 202)
         ]
         assert abs(kls[0] - kls[1]) < 0.02
 
     def test_direction_defaults(self):
-        fwd = run_single(BALANCED_PARAMS, Regime.case_ii(1.0), samples=1000)
+        fwd = run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0), samples=1000)
         assert fwd.report.direction is Direction.FORWARD
         collapse_params = ModelParams(n=10**4, m=10**7, p=0.5, s=3.0, r=3.0)
-        rev = run_single(collapse_params, Regime.collapse(), samples=1000)
+        rev = run_single(collapse_params, Regime(RegimeKind.COLLAPSE), samples=1000)
         assert rev.report.direction is Direction.REVERSED
 
     def test_unresolved_balanced_alpha_is_m_over_n(self):
         params = ModelParams(n=1000, m=2500, p=0.5, s=2.0, r=1.0)
-        implicit = run_single(params, Regime.case_ii(None), samples=2000)
-        explicit = run_single(params, Regime.case_ii(2.5), samples=2000)
+        implicit = run_single(params, Regime(RegimeKind.BALANCED, None), samples=2000)
+        explicit = run_single(params, Regime(RegimeKind.BALANCED, 2.5), samples=2000)
         assert_same_run(implicit, explicit)
 
     @pytest.mark.parametrize("setting, message", [
@@ -90,7 +91,7 @@ class TestRunSingle:
 
         monkeypatch.setattr(runner, "draw_counts", no_draw)
         with pytest.raises(ParameterError, match=message):
-            run_single(BALANCED_PARAMS, Regime.case_ii(None), **setting)
+            run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, None), **setting)
 
     # calls one run makes through the names its modules bind at module level
     STAGE_CALLS = {"limit_law": 1, "draw_counts": 1, "draw_binomial": 2, "simulate_batch": 1,
@@ -116,7 +117,7 @@ class TestRunSingle:
                 if (inspect.isfunction(obj) and not name.startswith("_")
                         and obj.__module__.startswith("binratio.")):
                     monkeypatch.setattr(module, name, counted(obj))
-        run_single(BALANCED_PARAMS, Regime.case_ii(None), samples=2000)
+        run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, None), samples=2000)
         assert {name: calls[name] for name in self.STAGE_CALLS} == self.STAGE_CALLS
 
 
@@ -135,10 +136,10 @@ class TestRepeatedRunsInOneProcess:
     # each thread re-keys one generator for every stream, so no run may
     # depend on what ran before it
     RUNS = [
-        (BALANCED_PARAMS, Regime.case_ii(1.0), SeedSpec(3)),
-        (ModelParams(n=12, m=9, p=0.2, s=1.0, r=1.0), Regime.case_ii(None),
+        (BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0), SeedSpec(3)),
+        (ModelParams(n=12, m=9, p=0.2, s=1.0, r=1.0), Regime(RegimeKind.BALANCED, None),
          SeedSpec(3, 7)),
-        (ModelParams(n=10**4, m=10**7, p=0.5, s=3.0, r=3.0), Regime.collapse(),
+        (ModelParams(n=10**4, m=10**7, p=0.5, s=3.0, r=3.0), Regime(RegimeKind.COLLAPSE),
          SeedSpec(8)),
     ]
 
@@ -205,13 +206,15 @@ class TestGeneratorsBuilt:
     def test_one_per_bound_diagnostic(self, built):
         for _ in range(2):
             with thread_generator_scope():
-                run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(1.0), samples=100)
+                run_bound_diagnostics(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0),
+                                      samples=100)
         assert len(built) == 2
 
     def test_counts_hold_after_a_bare_run(self, built):
         # a bare run_single leaves this thread its generator; a sweep that
         # drew on this thread would reuse it and count no build
-        run_single(BALANCED_PARAMS, Regime.case_ii(1.0), samples=2000, seed=SeedSpec(3))
+        run_single(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, 1.0), samples=2000,
+                   seed=SeedSpec(3))
         assert len(built) == 1
         with thread_generator_scope():
             run_sweep(small_spec(replicates_per_point=2))
@@ -362,7 +365,7 @@ class TestRunSweep:
     def test_error_is_the_first_failing_runs(self, threads):
         # (s - r)**2 overflows under case 3 at s = 1e160 and 1e170; 300 runs
         # make shares of two runs each
-        spec = small_spec(regime=Regime.case_iii(), vary="s", samples=200,
+        spec = small_spec(regime=Regime(RegimeKind.LIGHT_DENOMINATOR), vary="s", samples=200,
                           grid=(1.5, 2.0, 1e160, 3.0, 1e170), replicates_per_point=60)
         with pytest.raises(ParameterError, match=r"overflows at s=1e\+160,"):
             run_sweep(spec, threads=threads)
@@ -438,12 +441,14 @@ class TestRunMemoryBudget:
         budget = runner.RUN_MEMORY_BUDGET
         most = budget // runner._BOUND_SAMPLE_BYTES
         with pytest.raises(Admitted):
-            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(None), samples=most)
+            run_bound_diagnostics(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, None),
+                                  samples=most)
         # the need is rounded up, so it reads above the budget it names
         message = (f"{most + 1} samples need about {(budget >> 20) + 1} MiB, "
                    f"over the run memory budget of {budget >> 20} MiB")
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            run_bound_diagnostics(BALANCED_PARAMS, Regime.case_ii(None), samples=most + 1)
+            run_bound_diagnostics(BALANCED_PARAMS, Regime(RegimeKind.BALANCED, None),
+                                  samples=most + 1)
 
 
 class TestRunPeakMemory:
@@ -461,11 +466,11 @@ class TestRunPeakMemory:
 
     def test_positive_counts(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
-        assert self.peak_bytes_per_sample(params, Regime.case_ii(None), 10**5) <= 18
+        assert self.peak_bytes_per_sample(params, Regime(RegimeKind.BALANCED, None), 10**5) <= 18
 
     def test_zero_counts(self):
         params = ModelParams(n=3, m=3, p=0.5, s=1.0, r=1.0)
-        assert self.peak_bytes_per_sample(params, Regime.case_ii(None), 10**5) <= 20
+        assert self.peak_bytes_per_sample(params, Regime(RegimeKind.BALANCED, None), 10**5) <= 20
 
 
 class TestBoundDiagnostics:
@@ -473,7 +478,7 @@ class TestBoundDiagnostics:
         rows = [
             run_bound_diagnostics(
                 ModelParams(n=n, m=n, p=0.5, s=15.0, r=15.0),
-                Regime.case_ii(1.0),
+                Regime(RegimeKind.BALANCED, 1.0),
                 samples=10_000,
                 seed=SeedSpec(1),
             )
@@ -485,7 +490,7 @@ class TestBoundDiagnostics:
     def test_collapse_bound_dwarfs_balanced_bound(self):
         collapse = run_bound_diagnostics(
             ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0),
-            Regime.collapse(),
+            Regime(RegimeKind.COLLAPSE),
             samples=1000,
             seed=SeedSpec(2),
         )
@@ -493,10 +498,11 @@ class TestBoundDiagnostics:
         assert collapse.q100 >= collapse.q99 >= collapse.q50 >= 0.0
 
     @pytest.mark.parametrize("params, regime", [
-        (ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0), Regime.case_ii(None)),
-        (ModelParams(n=3, m=3, p=0.5, s=1.0, r=1.0), Regime.case_ii(None)),  # x = 0
+        (ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0),
+         Regime(RegimeKind.BALANCED, None)),
+        (ModelParams(n=3, m=3, p=0.5, s=1.0, r=1.0), Regime(RegimeKind.BALANCED, None)),  # x = 0
         (ModelParams(n=200_000, m=2_000_000_000, p=0.5, s=15.0, r=15.0),
-         Regime.collapse()),
+         Regime(RegimeKind.COLLAPSE)),
     ], ids=["fig3", "zero_counts", "collapse"])
     def test_same_bits_as_the_copying_path(self, params, regime):
         # the quantiles of |scale * Q| formed from counts that stay as drawn
@@ -513,10 +519,10 @@ class TestBoundDiagnostics:
     def test_peak_memory_per_sample(self):
         # the two count buffers, the linear term and one temporary of it
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
-        run_bound_diagnostics(params, Regime.case_ii(None), samples=100)
+        run_bound_diagnostics(params, Regime(RegimeKind.BALANCED, None), samples=100)
         tracemalloc.start()
         try:
-            run_bound_diagnostics(params, Regime.case_ii(None), samples=10**5)
+            run_bound_diagnostics(params, Regime(RegimeKind.BALANCED, None), samples=10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,6 +535,6 @@ class TestBoundDiagnostics:
         with pytest.raises(ParameterError, match="bound diagnostics are not finite"):
             run_bound_diagnostics(
                 ModelParams(n=1000, m=1000, p=0.5, s=1e6, r=1e6),
-                Regime.case_iii(),
+                Regime(RegimeKind.LIGHT_DENOMINATOR),
                 samples=100,
             )

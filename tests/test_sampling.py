@@ -13,6 +13,7 @@ from binratio import (
     ModelParams,
     ParameterError,
     Regime,
+    RegimeKind,
     SeedSpec,
     limit_law,
     reference_normal_batch,
@@ -131,22 +132,22 @@ class TestDrawBinomial:
     def test_rejects_bad_args(self):
         gen = make_generator(SeedSpec(0))
         with pytest.raises(ParameterError):
-            draw_binomial(0, 0.5, gen)
+            draw_binomial(0, 0.5, gen, 3)
         with pytest.raises(ParameterError):
-            draw_binomial(10, 1.0, gen)
+            draw_binomial(10, 1.0, gen, 3)
 
 
 class TestStandardizedStatistic:
     def test_zero_at_expansion_point(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         t = statistic(50, 50, law)
         amp = math.exp(law.log_scale + law.log_center)
         assert abs(t) < 1e-12 * amp
 
     def test_direct_arithmetic_at_small_scale(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         direct = math.exp(law.log_scale) * (60 / 110 - 0.5)
         assert statistic(60, 50, law) == pytest.approx(direct, rel=1e-12)
 
@@ -154,7 +155,7 @@ class TestStandardizedStatistic:
         # x^30 ~ 1e170 overflows, but the log-space path stays finite
         n = m = 10**6
         params = ModelParams(n=n, m=m, p=0.5, s=30.0, r=30.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         sigma = math.sqrt(n * 0.25)
         x = np.arange(n / 2 - 10 * sigma, n / 2 + 10 * sigma, 50.0)
         t = statistic(x, np.full_like(x, m / 2), law)
@@ -163,14 +164,14 @@ class TestStandardizedStatistic:
 
     def test_zero_numerator_convention(self):
         params = ModelParams(n=10, m=10, p=0.5, s=1.5, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         amp = math.exp(law.log_scale + law.log_center)
         assert statistic(0, 7, law) == pytest.approx(-amp)
         assert statistic(0, 0, law) == pytest.approx(-amp)
 
     def test_monotone_in_x_for_fixed_sum(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         total = 110
         x = np.arange(1, total)
         t = statistic(x, total - x, law)
@@ -178,7 +179,7 @@ class TestStandardizedStatistic:
 
     def test_monotone_decreasing_in_y_for_fixed_x(self):
         params = ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.5)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         y = np.arange(0, 200)
         t = statistic(np.full_like(y, 55), y, law)
         assert np.all(np.diff(t) < 0)
@@ -186,7 +187,7 @@ class TestStandardizedStatistic:
     def test_broadcast_grid_matches_rows(self):
         # the exact oracle evaluates whole (x, y) blocks in one call
         params = ModelParams(n=40, m=60, p=0.3, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.5))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.5))
         xs, ys = np.arange(41), np.arange(61)
         grid = statistic(xs[:, None], ys[None, :], law)
         assert grid.shape == (41, 61)
@@ -204,7 +205,7 @@ class TestStandardizedStatistic:
     )
     def test_expm1_path_matches_direct_path(self, x, y, s, r):
         params = ModelParams(n=500, m=500, p=0.5, s=s, r=r)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         amp = math.exp(law.log_scale + law.log_center)
         direct = math.exp(law.log_scale) * (x**s / (x + y) ** r - law.center)
         got = statistic(x, y, law)
@@ -213,7 +214,8 @@ class TestStandardizedStatistic:
 
 
 # the law under which one array passed as both x and y used to give [-2.4, -2.4]
-SMALL_LAW = limit_law(ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0), Regime.case_ii(None))
+SMALL_LAW = limit_law(ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0),
+                      Regime(RegimeKind.BALANCED, None))
 
 
 def _read_only_pair():
@@ -249,15 +251,15 @@ BAD_PAIRS = {
 class TestKernelMatchesReference:
     """standardized_statistic equals the float-copy formulation bit for bit."""
 
-    LAW = limit_law(ModelParams(n=120, m=80, p=0.4, s=2.5, r=1.75), Regime.case_ii(1.5))
+    LAW = limit_law(ModelParams(n=120, m=80, p=0.4, s=2.5, r=1.75),
+                    Regime(RegimeKind.BALANCED, 1.5))
 
     @staticmethod
     def read(x, y, law):
         """T on the read-only contract, with r*log(x + y) formed as the kernel forms it."""
         t = np.add(x, y, dtype=np.float64)
         t[~(t > 0)] = 1.0
-        r_log_sum = np.log(t) * law.r
-        return standardized_statistic(x, y, law, r_log_sum, out=np.empty(t.shape))
+        return standardized_statistic(x, y, law, np.log(t) * law.r)
 
     # the read-only contract reads integer and float counts of any width
     @pytest.mark.parametrize(
@@ -288,7 +290,7 @@ class TestKernelMatchesReference:
         x = draw_binomial(2_000_000_000, 0.5, gen, 1000)
         y = draw_binomial(3_800_000, 0.5, gen, 1000)
         law = limit_law(ModelParams(n=2_000_000_000, m=3_800_000, p=0.5, s=16.0,
-                                    r=15.0), Regime.case_iii())
+                                    r=15.0), Regime(RegimeKind.LIGHT_DENOMINATOR))
         assert_bitwise(statistic(x, y, law), reference_standardized_statistic(x, y, law))
 
     def test_nan_in_y_stays_finite(self):
@@ -325,18 +327,15 @@ class TestKernelMatchesReference:
                 reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
             )
 
-    def test_given_log_sum_is_only_read_and_changes_no_bit(self):
-        # as the oracle passes it: a read-only window over one table of r*log(t)
+    def test_read_only_log_sum_is_refused_and_changes_no_bit(self):
+        # T would replace it: a read-only window over one table of r*log(t) is refused
         xs, ys = np.arange(121), np.arange(81)
         table = np.log(np.maximum(np.arange(201), 1), dtype=np.float64) * self.LAW.r
+        want = table.copy()
         window = np.lib.stride_tricks.sliding_window_view(table, 81)
-        for lo, hi in [(0, 40), (40, 121)]:  # x = 0 and x + y = 0 in the first
-            assert_bitwise(
-                standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
-                                       r_log_sum=window[lo:hi], out=np.empty((hi - lo, 81))),
-                reference_standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW),
-            )
-        assert np.array_equal(xs, np.arange(121)) and np.array_equal(ys, np.arange(81))
+        with pytest.raises(ParameterError, match="a writeable float64 array"):
+            standardized_statistic(xs[:40, None], ys[None, :], self.LAW, r_log_sum=window[:40])
+        assert_bitwise(table, want)
 
     @pytest.mark.parametrize("zeros", [False, True])
     def test_given_buffers_hold_the_result(self, zeros):
@@ -350,23 +349,22 @@ class TestKernelMatchesReference:
         assert got is y
         assert_bitwise(got, want)
 
-    @pytest.mark.parametrize("x, y, out", [
-        (np.ones(3, np.int64), np.ones(3, np.int64), None),
-        (np.ones(3), np.ones(3, np.int64), None),
-        (np.ones(3, np.float32), np.ones(3, np.float32), None),
-        (np.ones(3), np.ones(4), None),
-        (np.ones((3, 1)), np.ones((1, 4)), None),
-        ([1.0, 2.0], [1.0, 2.0], None),
-        (2.0, 3.0, None),
-        (np.float64(2.0), np.float64(3.0), None),
-        (np.ones(3), np.ones(3), np.empty(3)),
-        (*_one_array_pair(), None),
-        (*_overlapping_pair(), None),
+    @pytest.mark.parametrize("x, y", [
+        (np.ones(3, np.int64), np.ones(3, np.int64)),
+        (np.ones(3), np.ones(3, np.int64)),
+        (np.ones(3, np.float32), np.ones(3, np.float32)),
+        (np.ones(3), np.ones(4)),
+        (np.ones((3, 1)), np.ones((1, 4))),
+        ([1.0, 2.0], [1.0, 2.0]),
+        (2.0, 3.0),
+        (np.float64(2.0), np.float64(3.0)),
+        _one_array_pair(),
+        _overlapping_pair(),
     ], ids=["int", "mixed_dtypes", "float32", "lengths", "broadcast", "list", "scalar",
-            "numpy_scalar", "out", "one_array", "overlapping"])
-    def test_without_log_sum_needs_two_float64_arrays_of_one_shape(self, x, y, out):
+            "numpy_scalar", "one_array", "overlapping"])
+    def test_without_log_sum_needs_two_float64_arrays_of_one_shape(self, x, y):
         with pytest.raises(ParameterError, match="writeable float64 arrays"):
-            standardized_statistic(x, y, self.LAW, out=out)
+            standardized_statistic(x, y, self.LAW)
 
     def test_without_log_sum_needs_writeable_arrays(self):
         x, y = np.ones(3), np.ones(3)
@@ -388,41 +386,36 @@ class TestKernelMatchesReference:
         table = np.log(t, dtype=np.float64) * r
         return np.lib.stride_tricks.sliding_window_view(table, len(ys))
 
-    @pytest.mark.parametrize("aliased", [False, True], ids=["window", "out_itself"])
-    def test_out_is_returned_with_the_bits_of_the_given_buffers(self, aliased):
+    def test_log_sum_is_returned_with_the_bits_of_the_given_buffers(self):
         # as the oracle passes it: the leading rows of a larger buffer, into
-        # which it copies the window rows and passes as r_log_sum too
+        # which it copies the window rows; x and y are only read
         xs, ys = np.arange(121), np.arange(81)
         window = self.oracle_window(xs, ys, self.LAW.r)
         buffer = np.full((50, 81), np.nan)
         for lo, hi in [(0, 40), (40, 90), (90, 121)]:  # x = 0 and x + y = 0 in the first
-            out = buffer[: hi - lo]
-            log_sum = window[lo:hi]
-            if aliased:
-                np.copyto(out, log_sum)
-                log_sum = out
+            log_sum = buffer[: hi - lo]
+            np.copyto(log_sum, window[lo:hi])
             got = standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
-                                         r_log_sum=log_sum, out=out)
-            assert got is out
+                                         r_log_sum=log_sum)
+            assert got is log_sum
             assert_bitwise(got, statistic(xs[lo:hi, None], ys[None, :], self.LAW))
+        assert np.array_equal(xs, np.arange(121)) and np.array_equal(ys, np.arange(81))
 
-    @pytest.mark.parametrize("out, x, y", [
+    @pytest.mark.parametrize("log_sum, x, y", [
         (np.empty((4, 6)), None, None),  # wrong shape
         (np.empty((3, 5)), None, None),
         (np.empty((3, 6), np.float32), None, None),  # wrong dtype
         ([[0.0] * 6] * 3, None, None),  # not an array
-        (None, None, None),  # no out
         (np.empty((3, 6)), [1.0, 2.0, 3.0], None),  # counts not arrays
         (np.empty((3, 6)), None, np.ones((1, 5))),  # counts that do not broadcast
         (np.empty((3, 6)), np.ones((3, 1), dtype=object), None),  # not numeric
-    ], ids=["rows", "columns", "float32", "list", "no_out", "list_counts",
-            "no_broadcast", "object_counts"])
-    def test_log_sum_needs_out_a_float64_array_of_the_shape(self, out, x, y):
+    ], ids=["rows", "columns", "float32", "list", "list_counts", "no_broadcast",
+            "object_counts"])
+    def test_log_sum_needs_a_float64_array_of_the_shape(self, log_sum, x, y):
         xs, ys = np.arange(1.0, 4.0)[:, None], np.arange(6.0)[None, :]
         x, y = xs if x is None else x, ys if y is None else y
-        window = self.oracle_window(np.arange(4), np.arange(6), self.LAW.r)[1:]
-        with pytest.raises(ParameterError, match="r_log_sum, integer or float arrays"):
-            standardized_statistic(x, y, self.LAW, window, out=out)
+        with pytest.raises(ParameterError, match="x and y and r_log_sum, a writeable"):
+            standardized_statistic(x, y, self.LAW, log_sum)
 
     @pytest.mark.parametrize(
         "x, y", [(-1, 3), ([2, -1], [1, 1]), ([2, 3], [0, -4]),
@@ -556,21 +549,21 @@ class TestKeyedGenerator:
 class TestSimulateBatch:
     def test_deterministic(self):
         params = ModelParams(n=1000, m=1000, p=0.5, s=2.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         a = simulate_batch(*draw_counts(params, 500, SeedSpec(8)), law)
         b = simulate_batch(*draw_counts(params, 500, SeedSpec(8)), law)
         assert np.array_equal(a.values, b.values)
 
     def test_no_zero_numerators_at_large_n(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         batch = simulate_batch(*draw_counts(params, 10**5, SeedSpec(4)), law)
         assert batch.zero_numerator_count == 0
         assert batch.zero_denominator_count == 0
 
     def test_variance_approaches_law(self):
         params = ModelParams(n=10**6, m=10**6, p=0.5, s=15.0, r=15.0)
-        regime = Regime.case_ii(1.0)
+        regime = Regime(RegimeKind.BALANCED, 1.0)
         law = limit_law(params, regime)
         batch = simulate_batch(*draw_counts(params, 10**5, SeedSpec(12)), law)
         assert batch.values.var() == pytest.approx(law.variance, rel=0.10)
@@ -578,7 +571,7 @@ class TestSimulateBatch:
     def test_variance_error_shrinks_with_n(self):
         # high exponents make the finite-size variance deficit large enough
         # to dominate Monte Carlo noise at every size
-        regime = Regime.case_ii(1.0)
+        regime = Regime(RegimeKind.BALANCED, 1.0)
         errs = []
         for n in [10**2, 10**4, 10**6]:
             params = ModelParams(n=n, m=n, p=0.5, s=15.0, r=15.0)
@@ -590,7 +583,7 @@ class TestSimulateBatch:
     def test_zero_counts_on_small_n(self):
         params = ModelParams(n=3, m=2, p=0.3, s=1.0, r=1.0)
         seed = SeedSpec(6)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         batch = simulate_batch(*draw_counts(params, 2000, seed), law)
         x = draw_binomial(3, 0.3, make_generator(substream(seed, 0)), 2000)
         y = draw_binomial(2, 0.3, make_generator(substream(seed, 1)), 2000)
@@ -599,7 +592,7 @@ class TestSimulateBatch:
 
     def test_values_immutable(self):
         params = ModelParams(n=100, m=100, p=0.5, s=1.0, r=1.0)
-        law = limit_law(params, Regime.case_ii(1.0))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, 1.0))
         batch = simulate_batch(*draw_counts(params, 10, SeedSpec(0)), law)
         with pytest.raises(ValueError):
             batch.values[0] = 0.0
@@ -607,7 +600,7 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("n", [3, 1000])  # with and without x = 0 draws
     def test_values_are_the_sorted_statistic_of_the_draws(self, n):
         params = ModelParams(n=n, m=2 * n, p=0.3, s=2.0, r=1.5)
-        law = limit_law(params, Regime.case_ii(None))
+        law = limit_law(params, Regime(RegimeKind.BALANCED, None))
         seed = SeedSpec(21)
         batch = simulate_batch(*draw_counts(params, 3000, seed), law)
         x, y = draw_counts(params, 3000, seed)

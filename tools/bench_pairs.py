@@ -10,7 +10,8 @@ it runs ``N`` pairs (default 10) of
 
     perfbench/run.py --workload W --seed K --seconds S --trace 0
 
-once in REV's tree and once in this working tree, one run at a time. K is
+once in REV's tree and once in this working tree, one run at a time, each
+through ``bench_record.run_workload``. K is
 the pair number, 1 to N, and S is the file's ``run_seconds``. REV runs first
 in odd pairs, the working tree in even ones.
 
@@ -29,28 +30,16 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import run_workload  # noqa: E402
 from diff_outputs import export  # noqa: E402
 
 SIDES = ("rev", "change")
-
-
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced ``perfbench/run.py`` run in ``tree``."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(f"perfbench in {tree} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def run_pairs(rev_tree: Path, workload: str, pairs: int, seconds: float) -> dict:
@@ -59,7 +48,7 @@ def run_pairs(rev_tree: Path, workload: str, pairs: int, seconds: float) -> dict
     order = (("rev", rev_tree), ("change", ROOT))
     for pair in range(1, pairs + 1):
         for side, tree in order if pair % 2 else order[::-1]:
-            runs[side].append(run_bench(tree, workload, pair, seconds))
+            runs[side].append(run_workload(tree, workload, pair, seconds, 0)["result"])
             print(f"{workload} pair {pair} {side}: done", file=sys.stderr, flush=True)
     return runs
 

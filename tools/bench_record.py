@@ -8,7 +8,8 @@ Runs ``perfbench/run.py`` of the checkout (this one by default) for every
 workload in its ``BENCHMARK.json``, at seed 0 for the ``run_seconds`` that
 file sets, once with ``--trace 0`` (end-to-end metrics) and once with
 ``--trace 1`` (per-layer metrics), one run at a time, then runs the
-checkout's Tier-1 tests once (``python -m pytest -q`` with ``PYTHONPATH=src``),
+checkout's Tier-1 tests once (``python -m pytest -q
+--continue-on-collection-errors`` with ``PYTHONPATH=src``),
 then times the checkout's ``oracle`` command at the sizes and regimes of
 ``ORACLE_SIZES`` (three runs each, median kept, in one interpreter warmed by a
 tiny oracle first) and ``exact_distribution`` alone at each of them (the
@@ -21,7 +22,7 @@ median kept) with its growth per sample between the two sizes, then times
 each, and ``sweep --preset fig3c`` at each of ``SCALING_THREADS`` (three runs
 each, median kept), all in one interpreter warmed by a tiny sweep first. It
 writes each run's result and provenance, as run.py prints them, the tests'
-wall seconds, passed and failed counts and exit code, the oracle and
+wall seconds, passed, failed and error counts and exit code, the oracle and
 enumeration wall seconds, the run memory and the sweep wall seconds to
 ``BENCH_<short-commit>.json`` at the root of this repository. A checkout whose
 tracked files differ from its HEAD is recorded as ``<short-commit>-<first 7 hex digits of src_sha256>``, the
@@ -99,14 +100,14 @@ print(json.dumps(rows))
 _TRACEMALLOC_PROBE = """\
 import json, sys, tracemalloc
 sys.path.insert(0, "src")
-from binratio import ModelParams, Regime, run_single
+from binratio import ModelParams, Regime, RegimeKind, run_single
 
 rows = []
 for label, (n, m, p, s, r), samples in json.loads(sys.argv[1]):
     params = ModelParams(n=n, m=m, p=p, s=s, r=r)
-    run_single(params, Regime.case_ii(None), samples=100)  # imports, generator
+    run_single(params, Regime(RegimeKind.BALANCED, None), samples=100)  # imports, generator
     tracemalloc.start()
-    result = run_single(params, Regime.case_ii(None), samples=samples)
+    result = run_single(params, Regime(RegimeKind.BALANCED, None), samples=samples)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     rows.append({"case": label, "n": n, "m": m, "p": p, "s": s, "r": r,
@@ -167,10 +168,12 @@ def record_name(checkout: Path, src_sha256: str) -> str:
     return head.stdout.strip() + (f"-{src_sha256[:7]}" if dirty else "")
 
 
-def run_workload(checkout: Path, workload: str, trace: int, seconds: float) -> dict:
+def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
+                 trace: int) -> dict:
+    """The provenance and result lines of one ``perfbench/run.py`` run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -184,14 +187,17 @@ def run_workload(checkout: Path, workload: str, trace: int, seconds: float) -> d
 def run_tier1(checkout: Path) -> dict:
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q"], cwd=checkout,
-        env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+        text=True,
     )
     wall_s = time.perf_counter() - start
-    summary = proc.stdout.strip().rsplit("\n", 1)[-1]  # "2 failed, 386 passed in 20.3s"
-    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    # "2 failed, 630 passed, 3 errors in 21.0s"
+    summary = proc.stdout.strip().rsplit("\n", 1)[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"wall_s": wall_s, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "exit_code": proc.returncode}
+            "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
+            "exit_code": proc.returncode}
 
 
 def run_timer(checkout: Path, label: str, script: str, *args: str):
@@ -230,13 +236,13 @@ def main(argv=None) -> int:
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            run = run_workload(checkout, workload, trace, spec["run_seconds"])
+            run = run_workload(checkout, workload, 0, spec["run_seconds"], trace)
             runs.append(run)
             print(f"{workload} --trace {trace}: correct={run['result']['correct']}",
                   file=sys.stderr)
     tier1 = run_tier1(checkout)
-    print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed "
-          f"in {tier1['wall_s']:.1f} s", file=sys.stderr)
+    print(f"tier1: {tier1['passed']} passed, {tier1['failed']} failed, "
+          f"{tier1['errors']} errors in {tier1['wall_s']:.1f} s", file=sys.stderr)
     oracle_scaling = run_timer(checkout, "oracle scaling", _ORACLE_TIMER,
                                json.dumps(ORACLE_SIZES), str(ORACLE_RUNS))
     for row in oracle_scaling:
