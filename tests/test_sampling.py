@@ -218,10 +218,13 @@ SMALL_LAW = limit_law(ModelParams(n=100, m=100, p=0.5, s=2.0, r=1.0),
                       Regime(RegimeKind.BALANCED, None))
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _read_only_pair():
-    x, y = np.ones(3), np.ones(3)
-    y.flags.writeable = False
-    return x, y
+    return np.ones(3), _read_only(np.ones(3))
 
 
 def _one_array_pair():
@@ -386,31 +389,36 @@ class TestKernelMatchesReference:
         table = np.log(t, dtype=np.float64) * r
         return np.lib.stride_tricks.sliding_window_view(table, len(ys))
 
-    def test_log_sum_is_returned_with_the_bits_of_the_given_buffers(self):
+    @pytest.mark.parametrize("step", [1, 2], ids=["leading_rows", "strided"])
+    def test_log_sum_is_returned_with_the_bits_of_the_given_buffers(self, step):
         # as the oracle passes it: the leading rows of a larger buffer, into
-        # which it copies the window rows; x and y are only read
+        # which it copies the window rows; x and y are only read. With step 2
+        # the buffer is every other column, and the columns between keep NaN
         xs, ys = np.arange(121), np.arange(81)
         window = self.oracle_window(xs, ys, self.LAW.r)
-        buffer = np.full((50, 81), np.nan)
+        buffer = np.full((50, 81 * step), np.nan)
         for lo, hi in [(0, 40), (40, 90), (90, 121)]:  # x = 0 and x + y = 0 in the first
-            log_sum = buffer[: hi - lo]
+            log_sum = buffer[: hi - lo, ::step]
             np.copyto(log_sum, window[lo:hi])
             got = standardized_statistic(xs[lo:hi, None], ys[None, :], self.LAW,
                                          r_log_sum=log_sum)
             assert got is log_sum
             assert_bitwise(got, statistic(xs[lo:hi, None], ys[None, :], self.LAW))
+            assert step == 1 or np.isnan(buffer[:, 1::2]).all()
         assert np.array_equal(xs, np.arange(121)) and np.array_equal(ys, np.arange(81))
 
     @pytest.mark.parametrize("log_sum, x, y", [
         (np.empty((4, 6)), None, None),  # wrong shape
         (np.empty((3, 5)), None, None),
         (np.empty((3, 6), np.float32), None, None),  # wrong dtype
+        (np.empty((3, 6), np.int64), None, None),
         ([[0.0] * 6] * 3, None, None),  # not an array
+        (_read_only(np.empty((3, 6))), None, None),  # T could not be formed in it
         (np.empty((3, 6)), [1.0, 2.0, 3.0], None),  # counts not arrays
         (np.empty((3, 6)), None, np.ones((1, 5))),  # counts that do not broadcast
         (np.empty((3, 6)), np.ones((3, 1), dtype=object), None),  # not numeric
-    ], ids=["rows", "columns", "float32", "list", "list_counts", "no_broadcast",
-            "object_counts"])
+    ], ids=["rows", "columns", "float32", "int64", "list", "read_only", "list_counts",
+            "no_broadcast", "object_counts"])
     def test_log_sum_needs_a_float64_array_of_the_shape(self, log_sum, x, y):
         xs, ys = np.arange(1.0, 4.0)[:, None], np.arange(6.0)[None, :]
         x, y = xs if x is None else x, ys if y is None else y
